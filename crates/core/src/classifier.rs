@@ -147,7 +147,7 @@ impl ModalityClassifier {
     }
 
     /// Softmax class probabilities `[n, 2]`.
-    pub fn predict_proba(&mut self, inputs: &Tensor) -> Tensor {
+    pub fn predict_proba(&self, inputs: &Tensor) -> Tensor {
         assert_eq!(&inputs.shape()[1..], self.input_shape().as_slice(), "input shape mismatch");
         self.net.predict_proba(inputs)
     }
@@ -216,7 +216,7 @@ mod tests {
     fn shapes_flow_through_all_three() {
         let mut rng = StdRng::seed_from_u64(0);
         for kind in [ModalityKind::Graph, ModalityKind::Tabular, ModalityKind::EarlyFusion] {
-            let mut clf = ModalityClassifier::new(kind, &mut rng);
+            let clf = ModalityClassifier::new(kind, &mut rng);
             let mut shape = vec![4];
             shape.extend(clf.input_shape());
             let x = Tensor::rand_uniform(&shape, 0.0, 1.0, &mut rng);
@@ -267,7 +267,7 @@ mod tests {
     fn infer_proba_matches_predict_proba_bitwise() {
         let mut rng = StdRng::seed_from_u64(4);
         for kind in [ModalityKind::Graph, ModalityKind::Tabular, ModalityKind::EarlyFusion] {
-            let mut clf = ModalityClassifier::new(kind, &mut rng);
+            let clf = ModalityClassifier::new(kind, &mut rng);
             let mut shape = vec![6];
             shape.extend(clf.input_shape());
             let x = Tensor::rand_uniform(&shape, 0.0, 1.0, &mut rng);
@@ -281,7 +281,7 @@ mod tests {
     #[should_panic(expected = "input shape mismatch")]
     fn rejects_wrong_shape() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut clf = ModalityClassifier::new(ModalityKind::Graph, &mut rng);
+        let clf = ModalityClassifier::new(ModalityKind::Graph, &mut rng);
         let _ = clf.predict_proba(&Tensor::zeros(&[1, 1, TABULAR_DIM]));
     }
 }

@@ -484,10 +484,9 @@ impl NoodleDetector {
         let calib_graph = amplified.graph_tensor(&split.calibration);
         let calib_tab = tab_input(&amplified, &split.calibration, &tabular_norm);
         let calib_early = early_input(&amplified, &split.calibration, &tabular_norm);
-        let (icp_graph, graph_min_scores) = calibrate(&mut graph_clf, &calib_graph, &calib_labels)?;
-        let (icp_tabular, tabular_min_scores) =
-            calibrate(&mut tabular_clf, &calib_tab, &calib_labels)?;
-        let (icp_early, early_min_scores) = calibrate(&mut early_clf, &calib_early, &calib_labels)?;
+        let (icp_graph, graph_min_scores) = calibrate(&graph_clf, &calib_graph, &calib_labels)?;
+        let (icp_tabular, tabular_min_scores) = calibrate(&tabular_clf, &calib_tab, &calib_labels)?;
+        let (icp_early, early_min_scores) = calibrate(&early_clf, &calib_early, &calib_labels)?;
 
         // Step 5b: int8 serving twins, calibrated on the same split the
         // ICP sees, with the calibration-set Brier score of both paths
@@ -498,11 +497,11 @@ impl NoodleDetector {
             let calib_outcomes: Vec<bool> = calib_labels.iter().map(|&l| l == 1).collect();
             let mut arena = InferArena::new();
             let (graph_scales, graph_briers) =
-                quantize_source(&mut graph_clf, &calib_graph, &calib_outcomes, &mut arena);
+                quantize_source(&graph_clf, &calib_graph, &calib_outcomes, &mut arena);
             let (tabular_scales, tabular_briers) =
-                quantize_source(&mut tabular_clf, &calib_tab, &calib_outcomes, &mut arena);
+                quantize_source(&tabular_clf, &calib_tab, &calib_outcomes, &mut arena);
             let (early_scales, early_briers) =
-                quantize_source(&mut early_clf, &calib_early, &calib_outcomes, &mut arena);
+                quantize_source(&early_clf, &calib_early, &calib_outcomes, &mut arena);
             Some(QuantizedNets {
                 graph: graph_scales,
                 tabular: tabular_scales,
@@ -1056,7 +1055,7 @@ impl NoodleDetector {
     /// Stage 1 for supplied modality vectors: checks their lengths and
     /// imputes a missing modality with the conditional GAN.
     fn supplied(
-        &mut self,
+        &self,
         graph: Option<&[f32]>,
         tabular: Option<&[f32]>,
     ) -> Result<Features, PipelineError> {
@@ -1073,12 +1072,12 @@ impl NoodleDetector {
         let (graph_row, tabular_row) = match (graph, tabular) {
             (Some(g), Some(t)) => (g.to_vec(), t.to_vec()),
             (Some(g), None) => {
-                let imputer = self.imputer_graph_to_tab.as_mut().ok_or_else(untrained)?;
+                let imputer = self.imputer_graph_to_tab.as_ref().ok_or_else(untrained)?;
                 let gm = Tensor::from_vec(vec![1, GRAPH_DIM], g.to_vec()).expect("length checked");
                 (g.to_vec(), imputer.impute(&gm).row(0).to_vec())
             }
             (None, Some(t)) => {
-                let imputer = self.imputer_tab_to_graph.as_mut().ok_or_else(untrained)?;
+                let imputer = self.imputer_tab_to_graph.as_ref().ok_or_else(untrained)?;
                 let tm =
                     Tensor::from_vec(vec![1, TABULAR_DIM], t.to_vec()).expect("length checked");
                 (imputer.impute(&tm).row(0).to_vec(), t.to_vec())
@@ -1285,7 +1284,7 @@ fn scores_from_proba(row: &[f32]) -> Vec<f32> {
 /// (true-class scores have a different upper tail on misclassified
 /// samples).
 fn calibrate(
-    clf: &mut ModalityClassifier,
+    clf: &ModalityClassifier,
     inputs: &Tensor,
     labels: &[usize],
 ) -> Result<(MondrianIcp, Vec<f64>), PipelineError> {
@@ -1311,7 +1310,7 @@ fn calibrate(
 /// Calibrates one classifier's int8 serving twin and scores both paths on
 /// the calibration set, returning `(scales, (brier_f32, brier_int8))`.
 fn quantize_source(
-    clf: &mut ModalityClassifier,
+    clf: &ModalityClassifier,
     calib: &Tensor,
     outcomes: &[bool],
     arena: &mut InferArena,

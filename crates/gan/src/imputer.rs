@@ -8,7 +8,7 @@
 //! that anchors the translation to the paired training data.
 
 use noodle_nn::loss::{binary_cross_entropy_with_logits, mse};
-use noodle_nn::{Activation, Adam, Dense, Mode, Sequential, ShapeError, Tensor};
+use noodle_nn::{Activation, Adam, Dense, InferArena, Mode, Sequential, ShapeError, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -96,6 +96,7 @@ impl ModalityImputer {
         let mut opt_t = Adam::new(config.lr).betas(0.5, 0.999);
         let mut opt_d = Adam::new(config.lr).betas(0.5, 0.999);
         let batch = config.batch_size.clamp(1, n);
+        let mut arena = InferArena::new();
 
         for _ in 0..config.epochs {
             let mut order: Vec<usize> = (0..n).collect();
@@ -110,8 +111,8 @@ impl ModalityImputer {
                 let real_logits = discriminator.forward(&yb, Mode::Train);
                 let real_loss = binary_cross_entropy_with_logits(&real_logits, &vec![0.9; b]);
                 discriminator.backward(&real_loss.grad);
-                let fake = translator.forward(&xb, Mode::Eval);
-                let fake_logits = discriminator.forward(&fake, Mode::Train);
+                let fake = translator.infer_batch(&xb, &mut arena);
+                let fake_logits = discriminator.forward(fake, Mode::Train);
                 let fake_loss = binary_cross_entropy_with_logits(&fake_logits, &vec![0.0; b]);
                 discriminator.backward(&fake_loss.grad);
                 opt_d.step(&mut discriminator.params_mut());
@@ -173,11 +174,12 @@ impl ModalityImputer {
     /// # Panics
     ///
     /// Panics if the feature dimension disagrees with the training data.
-    pub fn impute(&mut self, source: &Tensor) -> Tensor {
+    pub fn impute(&self, source: &Tensor) -> Tensor {
         assert_eq!(source.shape()[1], self.source_dim, "source feature mismatch");
         let xs = self.source_scaler.transform(source);
-        let ys = self.translator.forward(&xs, Mode::Eval);
-        self.target_scaler.inverse_transform(&ys)
+        let mut arena = InferArena::new();
+        let ys = self.translator.infer_batch(&xs, &mut arena);
+        self.target_scaler.inverse_transform(ys)
     }
 }
 
@@ -204,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let (a, b) = paired(128, &mut rng);
         let config = ImputerConfig { epochs: 150, ..ImputerConfig::default() };
-        let mut imputer = ModalityImputer::train(&a, &b, &config, &mut rng);
+        let imputer = ModalityImputer::train(&a, &b, &config, &mut rng);
         let (a_test, b_test) = paired(32, &mut rng);
         let imputed = imputer.impute(&a_test);
         let mut err = 0.0;
@@ -221,7 +223,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (a, b) = paired(64, &mut rng);
         let config = ImputerConfig { epochs: 30, ..ImputerConfig::default() };
-        let mut imputer = ModalityImputer::train(&a, &b, &config, &mut rng);
+        let imputer = ModalityImputer::train(&a, &b, &config, &mut rng);
         let out = imputer.impute(&a);
         let scaler = MinMaxScaler::fit(&b);
         let scaled = scaler.transform(&out);

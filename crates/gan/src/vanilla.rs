@@ -6,7 +6,7 @@
 //! distribution; [`amplify_class`] is exactly that primitive.
 
 use noodle_nn::loss::binary_cross_entropy_with_logits;
-use noodle_nn::{Activation, Adam, Dense, Mode, Sequential, Tensor};
+use noodle_nn::{Activation, Adam, Dense, InferArena, Mode, Sequential, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -94,6 +94,7 @@ impl VanillaGan {
         let mut opt_d = Adam::new(config.lr).betas(0.5, 0.999);
         let batch = config.batch_size.clamp(1, n);
         let mut trace = Vec::with_capacity(config.epochs);
+        let mut arena = InferArena::new();
 
         // The heavy math (Dense forward/backward GEMMs) is parallelized
         // inside the noodle-compute kernels; the epoch loop itself stays
@@ -117,8 +118,8 @@ impl VanillaGan {
                 let real_loss = binary_cross_entropy_with_logits(&real_logits, &vec![0.9; b]);
                 discriminator.backward(&real_loss.grad);
                 let z = Tensor::randn(&[b, config.latent_dim], 1.0, rng);
-                let fake = generator.forward(&z, Mode::Eval);
-                let fake_logits = discriminator.forward(&fake, Mode::Train);
+                let fake = generator.infer_batch(&z, &mut arena);
+                let fake_logits = discriminator.forward(fake, Mode::Train);
                 let fake_loss = binary_cross_entropy_with_logits(&fake_logits, &vec![0.0; b]);
                 discriminator.backward(&fake_loss.grad);
                 opt_d.step(&mut discriminator.params_mut());
@@ -169,17 +170,19 @@ impl VanillaGan {
     }
 
     /// Draws `count` synthetic samples in the original feature space.
-    pub fn sample<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) -> Tensor {
+    pub fn sample<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Tensor {
         let z = Tensor::randn(&[count, self.latent_dim], 1.0, rng);
-        let scaled = self.generator.forward(&z, Mode::Eval);
-        self.scaler.inverse_transform(&scaled)
+        let mut arena = InferArena::new();
+        let scaled = self.generator.infer_batch(&z, &mut arena);
+        self.scaler.inverse_transform(scaled)
     }
 
     /// Discriminator realism scores (sigmoid probabilities) for samples in
     /// the original feature space.
-    pub fn realism(&mut self, samples: &Tensor) -> Vec<f32> {
+    pub fn realism(&self, samples: &Tensor) -> Vec<f32> {
         let scaled = self.scaler.transform(samples);
-        let logits = self.discriminator.forward(&scaled, Mode::Eval);
+        let mut arena = InferArena::new();
+        let logits = self.discriminator.infer_batch(&scaled, &mut arena);
         logits.data().iter().map(|&x| noodle_nn::sigmoid(x)).collect()
     }
 }
@@ -205,7 +208,7 @@ pub fn amplify_class<R: Rng + ?Sized>(
     if n >= target_count {
         return data.clone();
     }
-    let mut gan = VanillaGan::train(data, config, rng);
+    let gan = VanillaGan::train(data, config, rng);
     let synthetic = gan.sample(target_count - n, rng);
     Tensor::stack_rows(
         &(0..n)
@@ -240,7 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let real = blob(64, &[2.0, -1.0, 0.5], 0.1, &mut rng);
         let config = GanConfig { epochs: 150, ..GanConfig::default() };
-        let mut gan = VanillaGan::train(&real, &config, &mut rng);
+        let gan = VanillaGan::train(&real, &config, &mut rng);
         let samples = gan.sample(200, &mut rng);
         assert_eq!(samples.shape(), &[200, 3]);
         // Sample means should land near the blob centre; min–max scaling
@@ -291,7 +294,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let real = blob(32, &[5.0, -5.0], 0.3, &mut rng);
         let config = GanConfig { epochs: 20, ..GanConfig::default() };
-        let mut gan = VanillaGan::train(&real, &config, &mut rng);
+        let gan = VanillaGan::train(&real, &config, &mut rng);
         let samples = gan.sample(100, &mut rng);
         let scaler = MinMaxScaler::fit(&real);
         let rescaled = scaler.transform(&samples);
@@ -303,7 +306,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let real = blob(24, &[0.0, 1.0], 0.2, &mut rng);
         let config = GanConfig { epochs: 30, ..GanConfig::default() };
-        let mut gan = VanillaGan::train(&real, &config, &mut rng);
+        let gan = VanillaGan::train(&real, &config, &mut rng);
         let scores = gan.realism(&real);
         assert_eq!(scores.len(), 24);
         assert!(scores.iter().all(|&s| (0.0..=1.0).contains(&s)));

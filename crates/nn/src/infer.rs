@@ -2,22 +2,23 @@
 //!
 //! [`InferArena`] owns two ping-pong activation buffers, one im2col
 //! scratch vector, and the int8 scratch used by the quantized serving
-//! path ([`crate::QuantizedModel`]). [`Sequential::infer_batch`] threads a batch through the
-//! network by alternating between the two buffers — each layer reads the
-//! previous layer's output from one buffer and writes into the other via
-//! [`Layer::infer`](crate::Layer::infer), which resizes in place instead
-//! of allocating. After one warmup call at the largest batch size every
-//! buffer has reached its steady-state capacity and subsequent calls
-//! perform no heap allocation at all (enforced by the crate's
+//! path ([`crate::QuantizedModel`]). [`Sequential::infer_batch`] threads a
+//! batch through the network by alternating between the two buffers: each
+//! layer reads the previous layer's output from one buffer and writes into
+//! the other via [`Layer::infer`](crate::Layer::infer), which resizes in
+//! place instead of allocating. After one warmup call at the largest batch
+//! size every buffer has reached its steady-state capacity and subsequent
+//! calls perform no heap allocation at all (enforced by the crate's
 //! `infer_zero_alloc` integration test under a counting allocator).
 //!
-//! The arithmetic is bit-identical to `forward(_, Mode::Eval)` followed by
-//! [`softmax_rows`](crate::softmax_rows): every infer kernel replicates its
-//! training counterpart's operation order exactly, and because each kernel
-//! is per-sample (convolutions im2col one sample at a time, dense GEMM
-//! accumulates each output row independently), row `i` of a batched result
-//! is bit-identical to running sample `i` alone — which is what lets the
-//! detect path micro-batch freely without disturbing verdicts.
+//! `Layer::infer` is each layer's only kernel for the arithmetic that
+//! does not depend on the mode: `forward(_, Mode::Eval)` is `infer` into
+//! a fresh tensor, and a training forward records what backward needs and
+//! then runs the same `infer`. Because each kernel is per-sample
+//! (convolutions im2col one sample at a time, dense GEMM accumulates each
+//! output row independently), row `i` of a batched result is bit-identical
+//! to running sample `i` alone, which is what lets the detect path
+//! micro-batch freely without disturbing verdicts.
 
 use crate::layers::softmax_rows_inplace;
 use crate::model::Sequential;
@@ -78,37 +79,45 @@ impl Sequential {
     }
 
     /// Softmax class probabilities for a batch via [`Self::infer_batch`]:
-    /// bit-identical to [`Self::predict_proba`] without allocating.
+    /// [`Self::predict_proba`] without allocating.
     pub fn infer_proba<'a>(&self, input: &Tensor, arena: &'a mut InferArena) -> &'a Tensor {
         let idx = self.infer_into(input, arena);
         softmax_rows_inplace(&mut arena.bufs[idx]);
         &arena.bufs[idx]
     }
 
-    /// Threads `input` through the layers, alternating between the arena's
-    /// two buffers, and returns the index of the buffer holding the output.
     fn infer_into(&self, input: &Tensor, arena: &mut InferArena) -> usize {
-        let layers = self.layers();
-        if layers.is_empty() {
-            arena.bufs[0].copy_from(input);
-            return 0;
-        }
-        let mut cur = 0;
-        for (i, layer) in layers.iter().enumerate() {
-            let (first, second) = arena.bufs.split_at_mut(1);
-            if i == 0 {
-                layer.infer(input, &mut first[0], &mut arena.cols);
-                cur = 0;
-            } else if cur == 0 {
-                layer.infer(&first[0], &mut second[0], &mut arena.cols);
-                cur = 1;
-            } else {
-                layer.infer(&second[0], &mut first[0], &mut arena.cols);
-                cur = 0;
-            }
-        }
-        cur
+        let InferArena { bufs, cols, .. } = arena;
+        ping_pong(self.layers(), input, bufs, |layer, x, out| layer.infer(x, out, cols))
     }
+}
+
+/// Threads `input` through `layers`, alternating between the two buffers
+/// so no layer reads and writes the same storage, and returns the index of
+/// the buffer holding the output. `run` is one layer's inference call; an
+/// empty stack copies the input.
+pub(crate) fn ping_pong<L>(
+    layers: &[L],
+    input: &Tensor,
+    bufs: &mut [Tensor; 2],
+    mut run: impl FnMut(&L, &Tensor, &mut Tensor),
+) -> usize {
+    let [a, b] = bufs;
+    let Some((first, rest)) = layers.split_first() else {
+        a.copy_from(input);
+        return 0;
+    };
+    run(first, input, a);
+    let mut cur = 0;
+    for layer in rest {
+        if cur == 0 {
+            run(layer, a, b);
+        } else {
+            run(layer, b, a);
+        }
+        cur ^= 1;
+    }
+    cur
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use super::remember;
 use crate::tensor::Tensor;
 
 /// The nonlinearity applied by an [`Activation`] layer.
@@ -21,8 +22,8 @@ const LEAKY_SLOPE: f32 = 0.01;
 
 /// An elementwise activation layer.
 ///
-/// Caches its forward output (or input for ReLU variants) so the backward
-/// pass can compute the local derivative.
+/// A training forward caches its output (or its input for the ReLU
+/// variants) so the backward pass can compute the local derivative.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Activation {
     kind: ActivationKind,
@@ -61,31 +62,21 @@ impl Activation {
         self.kind
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// Training forward: runs [`Self::infer`], then caches what
+    /// `backward` needs: the input for the ReLU variants, the output for
+    /// sigmoid and tanh.
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer(input, &mut out);
         match self.kind {
-            ActivationKind::Relu => {
-                self.cached = Some(input.clone());
-                input.map(|x| x.max(0.0))
-            }
-            ActivationKind::LeakyRelu => {
-                self.cached = Some(input.clone());
-                input.map(|x| if x >= 0.0 { x } else { LEAKY_SLOPE * x })
-            }
-            ActivationKind::Sigmoid => {
-                let out = input.map(sigmoid);
-                self.cached = Some(out.clone());
-                out
-            }
-            ActivationKind::Tanh => {
-                let out = input.map(f32::tanh);
-                self.cached = Some(out.clone());
-                out
-            }
+            ActivationKind::Relu | ActivationKind::LeakyRelu => remember(&mut self.cached, input),
+            ActivationKind::Sigmoid | ActivationKind::Tanh => remember(&mut self.cached, &out),
         }
+        out
     }
 
-    /// Inference-only forward into a caller-owned buffer: the same
-    /// elementwise maps as `forward` without caching the activation.
+    /// Forward into a caller-owned buffer: the elementwise map, with
+    /// nothing cached.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
         out.resize_in_place(input.shape());
         let x = input.data();
@@ -146,28 +137,14 @@ pub fn sigmoid(x: f32) -> f32 {
 ///
 /// Panics if `logits` is not rank 2.
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
-    assert_eq!(logits.ndim(), 2, "softmax_rows expects rank 2, got {:?}", logits.shape());
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
     let mut out = logits.clone();
-    let data = out.data_mut();
-    for b in 0..batch {
-        let row = &mut data[b * classes..(b + 1) * classes];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
+    softmax_rows_inplace(&mut out);
     out
 }
 
-/// In-place variant of [`softmax_rows`]: identical per-row arithmetic
+/// In-place variant of [`softmax_rows`]: the same per-row arithmetic
 /// (subtract the row max, exponentiate and sum, divide) applied directly
-/// to `logits` without allocating. Used by the inference fast path.
+/// to `logits` without allocating. Used by the inference path.
 ///
 /// # Panics
 ///
@@ -198,7 +175,7 @@ mod tests {
     fn relu_forward_backward() {
         let mut a = Activation::relu();
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        let y = a.forward(&x);
+        let y = a.forward_train(&x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = a.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
@@ -208,7 +185,7 @@ mod tests {
     fn leaky_relu_keeps_small_negative_gradient() {
         let mut a = Activation::leaky_relu();
         let x = Tensor::from_slice(&[-2.0, 3.0]);
-        let y = a.forward(&x);
+        let y = a.forward_train(&x);
         assert!((y.data()[0] + 0.02).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
         let g = a.backward(&Tensor::from_slice(&[1.0, 1.0]));
@@ -220,7 +197,7 @@ mod tests {
     fn sigmoid_matches_closed_form() {
         let mut a = Activation::sigmoid();
         let x = Tensor::from_slice(&[0.0]);
-        let y = a.forward(&x);
+        let y = a.forward_train(&x);
         assert!((y.data()[0] - 0.5).abs() < 1e-6);
         // d sigmoid at 0 = 0.25
         let g = a.backward(&Tensor::from_slice(&[1.0]));
@@ -239,7 +216,7 @@ mod tests {
     fn tanh_backward_uses_output() {
         let mut a = Activation::tanh();
         let x = Tensor::from_slice(&[0.5]);
-        let y = a.forward(&x);
+        let y = a.forward_train(&x);
         let g = a.backward(&Tensor::from_slice(&[1.0]));
         let expected = 1.0 - y.data()[0] * y.data()[0];
         assert!((g.data()[0] - expected).abs() < 1e-6);

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{grad_buffer, Mode, ParamMut};
+use super::{grad_buffer, ParamMut};
 use crate::tensor::{ShapeError, Tensor};
 
 const EPS: f32 = 1e-5;
@@ -67,68 +67,53 @@ impl BatchNorm1d {
         Ok(())
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// Training forward: normalizes with the batch statistics, folds them
+    /// into the running averages and caches what `backward` needs.
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 2, "BatchNorm1d expects [batch, features]");
         let (batch, features) = (input.shape()[0], input.shape()[1]);
         assert_eq!(features, self.features(), "feature count mismatch");
+        assert!(batch > 1, "BatchNorm1d training needs batch size > 1");
         let x = input.data();
-        let mut out = Tensor::zeros(&[batch, features]);
-        match mode {
-            Mode::Train => {
-                assert!(batch > 1, "BatchNorm1d training needs batch size > 1");
-                let mut mean = vec![0.0f32; features];
-                let mut var = vec![0.0f32; features];
-                for r in 0..batch {
-                    for c in 0..features {
-                        mean[c] += x[r * features + c] / batch as f32;
-                    }
-                }
-                for r in 0..batch {
-                    for c in 0..features {
-                        let d = x[r * features + c] - mean[c];
-                        var[c] += d * d / batch as f32;
-                    }
-                }
-                let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-                let mut normalized = Tensor::zeros(&[batch, features]);
-                {
-                    let n = normalized.data_mut();
-                    let o = out.data_mut();
-                    for r in 0..batch {
-                        for c in 0..features {
-                            let idx = r * features + c;
-                            n[idx] = (x[idx] - mean[c]) * std_inv[c];
-                            o[idx] = self.gamma.data()[c] * n[idx] + self.beta.data()[c];
-                        }
-                    }
-                }
-                for c in 0..features {
-                    self.running_mean[c] =
-                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
-                    self.running_var[c] =
-                        (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
-                }
-                self.cache = Some(BnCache { normalized, std_inv });
-            }
-            Mode::Eval => {
-                let o = out.data_mut();
-                for r in 0..batch {
-                    for c in 0..features {
-                        let idx = r * features + c;
-                        let n =
-                            (x[idx] - self.running_mean[c]) / (self.running_var[c] + EPS).sqrt();
-                        o[idx] = self.gamma.data()[c] * n + self.beta.data()[c];
-                    }
-                }
-                self.cache = None;
+        let mut mean = vec![0.0f32; features];
+        let mut var = vec![0.0f32; features];
+        for r in 0..batch {
+            for c in 0..features {
+                mean[c] += x[r * features + c] / batch as f32;
             }
         }
+        for r in 0..batch {
+            for c in 0..features {
+                let d = x[r * features + c] - mean[c];
+                var[c] += d * d / batch as f32;
+            }
+        }
+        let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
+        let mut out = Tensor::zeros(&[batch, features]);
+        let mut normalized = Tensor::zeros(&[batch, features]);
+        {
+            let n = normalized.data_mut();
+            let o = out.data_mut();
+            for r in 0..batch {
+                for c in 0..features {
+                    let idx = r * features + c;
+                    n[idx] = (x[idx] - mean[c]) * std_inv[c];
+                    o[idx] = self.gamma.data()[c] * n[idx] + self.beta.data()[c];
+                }
+            }
+        }
+        for c in 0..features {
+            self.running_mean[c] =
+                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
+            self.running_var[c] =
+                (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
+        }
+        self.cache = Some(BnCache { normalized, std_inv });
         out
     }
 
-    /// Inference-only forward into a caller-owned buffer: the same
-    /// running-statistics normalization as `forward(_, Mode::Eval)`,
-    /// element for element, without touching the training cache.
+    /// Forward into a caller-owned buffer: normalizes with the running
+    /// statistics, so single-sample inference is well defined.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(input.ndim(), 2, "BatchNorm1d expects [batch, features]");
         let (batch, features) = (input.shape()[0], input.shape()[1]);
@@ -198,7 +183,7 @@ mod tests {
         let mut bn = BatchNorm1d::new(2);
         let x =
             Tensor::from_vec(vec![4, 2], vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]).unwrap();
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward_train(&x);
         for c in 0..2 {
             let col: Vec<f32> = (0..4).map(|r| y.at(&[r, c])).collect();
             let mean: f32 = col.iter().sum::<f32>() / 4.0;
@@ -213,11 +198,12 @@ mod tests {
         let mut bn = BatchNorm1d::new(1);
         let x = Tensor::from_vec(vec![4, 1], vec![2.0, 4.0, 6.0, 8.0]).unwrap();
         for _ in 0..200 {
-            let _ = bn.forward(&x, Mode::Train);
+            let _ = bn.forward_train(&x);
         }
         // Running stats converge to batch stats (mean 5, var 5).
         let single = Tensor::from_vec(vec![1, 1], vec![5.0]).unwrap();
-        let y = bn.forward(&single, Mode::Eval);
+        let mut y = Tensor::default();
+        bn.infer(&single, &mut y);
         assert!(y.data()[0].abs() < 0.05, "mean input should map near 0: {}", y.data()[0]);
     }
 
@@ -227,7 +213,7 @@ mod tests {
         bn.gamma = Tensor::from_slice(&[2.0]);
         bn.beta = Tensor::from_slice(&[1.0]);
         let x = Tensor::from_vec(vec![2, 1], vec![-1.0, 1.0]).unwrap();
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward_train(&x);
         // Standardized to ±1, then ×2 + 1 → -1 and 3.
         assert!((y.data()[0] + 1.0).abs() < 1e-3);
         assert!((y.data()[1] - 3.0).abs() < 1e-3);
@@ -237,13 +223,14 @@ mod tests {
     #[should_panic(expected = "batch size > 1")]
     fn train_rejects_singleton_batch() {
         let mut bn = BatchNorm1d::new(1);
-        let _ = bn.forward(&Tensor::zeros(&[1, 1]), Mode::Train);
+        let _ = bn.forward_train(&Tensor::zeros(&[1, 1]));
     }
 
     #[test]
     fn eval_handles_singleton_batch() {
-        let mut bn = BatchNorm1d::new(3);
-        let y = bn.forward(&Tensor::ones(&[1, 3]), Mode::Eval);
+        let bn = BatchNorm1d::new(3);
+        let mut y = Tensor::default();
+        bn.infer(&Tensor::ones(&[1, 3]), &mut y);
         assert_eq!(y.shape(), &[1, 3]);
     }
 }

@@ -1,15 +1,14 @@
 //! 1-D convolution over `[batch, channels, length]` inputs.
 //!
 //! Forward and backward are lowered onto im2col + blocked GEMM (see
-//! [`crate::lowering`]) and parallelized across the batch, exactly like
-//! [`super::Conv2d`].
+//! [`crate::lowering`]) exactly like [`super::Conv2d`].
 
 use noodle_compute::{gemm, gemm_at, gemm_bt, par_chunks_mut, par_map_reduce};
 use noodle_profile::{EventKind, KernelTimer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::{grad_buffer, Mode, ParamMut};
+use super::{grad_buffer, remember, ParamMut};
 use crate::init;
 use crate::lowering::{col2im_1d, im2col_1d};
 use crate::tensor::Tensor;
@@ -103,52 +102,18 @@ impl Conv1d {
         padded - self.kernel() + 1
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.ndim(), 3, "Conv1d expects [batch, ch, len], got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels(),
-            "Conv1d expects {} input channels, got {}",
-            self.in_channels(),
-            input.shape()[1]
-        );
-        if mode == Mode::Train {
-            match &mut self.cached_input {
-                Some(c) => c.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
-            }
-        }
-        let (batch, cin, len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let (cout, k, pad) = (self.out_channels(), self.kernel(), self.padding);
-        let out_len = self.output_len(len);
-        let ck = cin * k;
-        let _prof = KernelTimer::start(
-            EventKind::ConvFwd,
-            2 * (batch * cout * ck * out_len) as u64,
-            (4 * (input.len() + batch * cout * out_len)) as u64,
-        );
-        let mut out = Tensor::zeros(&[batch, cout, out_len]);
-        let x = input.data();
-        let w2 = self.weight.data(); // viewed as [cout, ck]
-        let bias = self.bias.data();
-        par_chunks_mut(out.data_mut(), cout * out_len, BATCH_GRAIN, |samples, out_chunk| {
-            let mut cols = vec![0.0; ck * out_len];
-            for (i, b) in samples.enumerate() {
-                im2col_1d(&x[b * cin * len..][..cin * len], cin, len, k, pad, out_len, &mut cols);
-                let out_b = &mut out_chunk[i * cout * out_len..][..cout * out_len];
-                for co in 0..cout {
-                    out_b[co * out_len..][..out_len].fill(bias[co]);
-                }
-                gemm(cout, ck, out_len, w2, &cols, out_b);
-            }
-        });
+    /// Training forward: caches the input for `backward`, then runs
+    /// [`Self::infer`].
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        remember(&mut self.cached_input, input);
+        let mut out = Tensor::default();
+        self.infer(input, &mut out, &mut Vec::new());
         out
     }
 
-    /// Inference-only forward into a caller-owned buffer; see
-    /// [`super::Conv2d::infer`] — same per-sample im2col → bias prefill →
-    /// GEMM order as `forward`, so results are bit-identical, with the
-    /// scratch buffers reused across calls.
+    /// Forward into a caller-owned buffer; see [`super::Conv2d::infer`]:
+    /// per-sample im2col → bias prefill → GEMM, with the scratch buffers
+    /// reused across calls.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor, cols: &mut Vec<f32>) {
         assert_eq!(input.ndim(), 3, "Conv1d expects [batch, ch, len], got {:?}", input.shape());
         assert_eq!(
@@ -296,7 +261,7 @@ mod tests {
     fn kernel_one_is_identity() {
         let mut c = identity_conv();
         let x = Tensor::from_vec(vec![1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -307,7 +272,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 2], vec![1.0, 1.0]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.shape(), &[1, 1, 3]);
         assert_eq!(y.data(), &[3.0, 5.0, 7.0]);
     }
@@ -319,7 +284,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 3], vec![0.0, 1.0, 0.0]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 3], vec![5.0, 6.0, 7.0]).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         // Centre-tap kernel with same-padding reproduces the input.
         assert_eq!(y.shape(), &[1, 1, 3]);
         assert_eq!(y.data(), &[5.0, 6.0, 7.0]);
@@ -330,7 +295,7 @@ mod tests {
         let mut c = identity_conv();
         c.bias = Tensor::from_slice(&[10.0]);
         let x = Tensor::from_vec(vec![1, 1, 2], vec![1.0, 2.0]).unwrap();
-        assert_eq!(c.forward(&x, Mode::Train).data(), &[11.0, 12.0]);
+        assert_eq!(c.forward_train(&x).data(), &[11.0, 12.0]);
     }
 
     #[test]
@@ -340,7 +305,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 2], vec![1.0, 1.0]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let _ = c.forward(&x, Mode::Train);
+        let _ = c.forward_train(&x);
         let gy = Tensor::from_vec(vec![1, 1, 2], vec![1.0, 1.0]).unwrap();
         let gx = c.backward(&gy);
         // Middle input appears in both windows.
@@ -355,20 +320,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut c = Conv1d::new(2, 4, 3, 1, &mut rng);
         let x = Tensor::zeros(&[5, 2, 8]);
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.shape(), &[5, 4, 8]);
         let gx = c.backward(&Tensor::zeros(&[5, 4, 8]));
         assert_eq!(gx.shape(), &[5, 2, 8]);
-    }
-
-    #[test]
-    fn eval_mode_does_not_cache_activations() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut c = Conv1d::new(2, 3, 3, 1, &mut rng);
-        let x = Tensor::zeros(&[2, 2, 6]);
-        let _ = c.forward(&x, Mode::Eval);
-        assert!(c.cached_input.is_none(), "Eval forward must not cache the input");
-        let _ = c.forward(&x, Mode::Train);
-        assert!(c.cached_input.is_some(), "Train forward must cache the input");
     }
 }

@@ -1,16 +1,17 @@
 //! 2-D convolution over `[batch, channels, height, width]` inputs.
 //!
 //! Forward and backward are lowered onto im2col + blocked GEMM (see
-//! [`crate::lowering`]) and parallelized across the batch; see
-//! `DESIGN.md` § "Parallelism & determinism model" for why results are
-//! bit-identical at every thread count.
+//! [`crate::lowering`]). The forward walks samples in order and lets the
+//! GEMM fan rows out over the compute pool; the backward is parallelized
+//! across the batch. See `DESIGN.md` § "Parallelism & determinism model"
+//! for why results are bit-identical at every thread count.
 
 use noodle_compute::{gemm, gemm_at, gemm_bt, par_chunks_mut, par_map_reduce};
 use noodle_profile::{EventKind, KernelTimer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::{grad_buffer, Mode, ParamMut};
+use super::{grad_buffer, remember, ParamMut};
 use crate::init;
 use crate::lowering::{col2im_2d, im2col_2d};
 use crate::tensor::Tensor;
@@ -104,70 +105,19 @@ impl Conv2d {
         padded - self.kernel() + 1
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.ndim(), 4, "Conv2d expects [b, c, h, w], got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels(),
-            "Conv2d expects {} input channels, got {}",
-            self.in_channels(),
-            input.shape()[1]
-        );
-        if mode == Mode::Train {
-            // Only training needs the activation for backward; reuse the
-            // cached tensor's allocation instead of cloning every call.
-            match &mut self.cached_input {
-                Some(c) => c.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
-            }
-        }
-        let (batch, cin, h, w) =
-            (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let (cout, k, pad) = (self.out_channels(), self.kernel(), self.padding);
-        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
-        let (ckk, l) = (cin * k * k, oh * ow);
-        let _prof = KernelTimer::start(
-            EventKind::ConvFwd,
-            2 * (batch * cout * ckk * l) as u64,
-            (4 * (input.len() + batch * cout * l)) as u64,
-        );
-        let mut out = Tensor::zeros(&[batch, cout, oh, ow]);
-        let x = input.data();
-        let w2 = self.weight.data(); // viewed as [cout, ckk]
-        let bias = self.bias.data();
-        // One chunk = BATCH_GRAIN samples; each writes a disjoint slice of
-        // the output and reuses one im2col scratch buffer across its
-        // samples. The inner GEMM runs inline (nested regions are serial).
-        par_chunks_mut(out.data_mut(), cout * l, BATCH_GRAIN, |samples, out_chunk| {
-            let mut cols = vec![0.0; ckk * l];
-            for (i, b) in samples.enumerate() {
-                im2col_2d(
-                    &x[b * cin * h * w..][..cin * h * w],
-                    cin,
-                    h,
-                    w,
-                    k,
-                    pad,
-                    oh,
-                    ow,
-                    &mut cols,
-                );
-                let out_b = &mut out_chunk[i * cout * l..][..cout * l];
-                for co in 0..cout {
-                    out_b[co * l..][..l].fill(bias[co]);
-                }
-                gemm(cout, ckk, l, w2, &cols, out_b);
-            }
-        });
+    /// Training forward: caches the input for `backward`, then runs
+    /// [`Self::infer`].
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        remember(&mut self.cached_input, input);
+        let mut out = Tensor::default();
+        self.infer(input, &mut out, &mut Vec::new());
         out
     }
 
-    /// Inference-only forward into a caller-owned buffer: per-sample
-    /// im2col → bias prefill → GEMM in exactly the same order as
-    /// `forward`, so results are bit-identical, but the im2col scratch
-    /// and output come from the caller and are reused across calls.
-    /// Samples are walked sequentially; the GEMM itself still fans rows
-    /// out over the compute pool.
+    /// Forward into a caller-owned buffer: per-sample im2col → bias
+    /// prefill → GEMM, with the im2col scratch and output supplied by the
+    /// caller and reused across calls. Samples are walked sequentially;
+    /// the GEMM itself fans rows out over the compute pool.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor, cols: &mut Vec<f32>) {
         assert_eq!(input.ndim(), 4, "Conv2d expects [b, c, h, w], got {:?}", input.shape());
         assert_eq!(
@@ -310,7 +260,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 1, 1], vec![2.0]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.data(), &[2.0, 4.0, 6.0, 8.0]);
     }
 
@@ -321,7 +271,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0; 4]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         // windows: [1,2,4,5]=12 [2,3,5,6]=16 [4,5,7,8]=24 [5,6,8,9]=28
         assert_eq!(y.data(), &[12.0, 16.0, 24.0, 28.0]);
@@ -336,7 +286,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 3, 3], kernel).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.shape(), x.shape());
         assert_eq!(y.data(), x.data());
     }
@@ -348,7 +298,7 @@ mod tests {
         c.weight = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0; 4]).unwrap();
         c.bias = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let _ = c.forward(&x, Mode::Train);
+        let _ = c.forward_train(&x);
         let gy = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.0]).unwrap();
         let gx = c.backward(&gy);
         assert_eq!(gx.data(), &[1.0; 4]);
@@ -361,21 +311,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut c = Conv2d::new(3, 8, 3, 1, &mut rng);
         let x = Tensor::zeros(&[2, 3, 16, 16]);
-        let y = c.forward(&x, Mode::Train);
+        let y = c.forward_train(&x);
         assert_eq!(y.shape(), &[2, 8, 16, 16]);
         let gx = c.backward(&Tensor::zeros(&[2, 8, 16, 16]));
         assert_eq!(gx.shape(), &[2, 3, 16, 16]);
-    }
-
-    #[test]
-    fn eval_mode_does_not_cache_activations() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut c = Conv2d::new(1, 2, 3, 1, &mut rng);
-        let x = Tensor::zeros(&[1, 1, 4, 4]);
-        let _ = c.forward(&x, Mode::Eval);
-        assert!(c.cached_input.is_none(), "Eval forward must not cache the input");
-        let _ = c.forward(&x, Mode::Train);
-        assert!(c.cached_input.is_some(), "Train forward must cache the input");
     }
 
     /// The im2col + GEMM path against a direct translation of the
@@ -384,9 +323,10 @@ mod tests {
     #[test]
     fn forward_matches_direct_convolution() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut c = Conv2d::new(3, 4, 3, 2, &mut rng);
+        let c = Conv2d::new(3, 4, 3, 2, &mut rng);
         let x = Tensor::rand_uniform(&[5, 3, 6, 5], -1.0, 1.0, &mut rng);
-        let y = c.forward(&x, Mode::Eval);
+        let mut y = Tensor::default();
+        c.infer(&x, &mut y, &mut Vec::new());
         let (h, w, k, pad) = (6, 5, 3, 2);
         let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
         assert_eq!(y.shape(), &[5, 4, oh, ow]);

@@ -4,7 +4,7 @@ use noodle_profile::{EventKind, KernelTimer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::{grad_buffer, Mode, ParamMut};
+use super::{grad_buffer, remember, ParamMut};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -58,45 +58,18 @@ impl Dense {
         &self.bias
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.ndim(), 2, "Dense expects [batch, in] input, got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_features(),
-            "Dense expects {} input features, got {}",
-            self.in_features(),
-            input.shape()[1]
-        );
-        if mode == Mode::Train {
-            // Only training needs the activation for backward; reuse the
-            // cached tensor's allocation instead of cloning every call.
-            match &mut self.cached_input {
-                Some(c) => c.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
-            }
-        }
-        let _prof = KernelTimer::start(
-            EventKind::DenseFwd,
-            2 * (input.shape()[0] * self.in_features() * self.out_features()) as u64,
-            (4 * (input.len() + input.shape()[0] * self.out_features())) as u64,
-        );
-        // x @ W^T without materializing the transpose.
-        let mut out = input.matmul_bt(&self.weight);
-        let (batch, out_f) = (out.shape()[0], out.shape()[1]);
-        let bias = self.bias.data();
-        let data = out.data_mut();
-        for b in 0..batch {
-            for j in 0..out_f {
-                data[b * out_f + j] += bias[j];
-            }
-        }
+    /// Training forward: caches the input for `backward`, then runs
+    /// [`Self::infer`].
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        remember(&mut self.cached_input, input);
+        let mut out = Tensor::default();
+        self.infer(input, &mut out);
         out
     }
 
-    /// Inference-only forward into a caller-owned buffer: identical
-    /// arithmetic to `forward(_, Mode::Eval)` (zeroed GEMM accumulator,
-    /// bias added afterwards in the same loop order) but allocation-free
-    /// once `out` has warmed up to the output size.
+    /// Forward into a caller-owned buffer: a zeroed GEMM accumulator,
+    /// then the bias. Allocation-free once `out` has warmed up to the
+    /// output size.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(input.ndim(), 2, "Dense expects [batch, in] input, got {:?}", input.shape());
         assert_eq!(
@@ -179,7 +152,7 @@ mod tests {
     fn forward_hand_computed() {
         let mut d = fixed_dense();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_train(&x);
         // y0 = 1*1 + 2*1 + 0.5 = 3.5 ; y1 = 3 + 4 - 0.5 = 6.5
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
@@ -188,7 +161,7 @@ mod tests {
     fn backward_shapes_and_values() {
         let mut d = fixed_dense();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]).unwrap();
-        let _ = d.forward(&x, Mode::Train);
+        let _ = d.forward_train(&x);
         let gy = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
         let gx = d.backward(&gy);
         // dX = gy W = [1+3, 2+4]
@@ -203,9 +176,9 @@ mod tests {
         let mut d = fixed_dense();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 0.0]).unwrap();
         let gy = Tensor::from_vec(vec![1, 2], vec![1.0, 0.0]).unwrap();
-        let _ = d.forward(&x, Mode::Train);
+        let _ = d.forward_train(&x);
         let _ = d.backward(&gy);
-        let _ = d.forward(&x, Mode::Train);
+        let _ = d.forward_train(&x);
         let _ = d.backward(&gy);
         assert_eq!(d.grad_bias.data()[0], 2.0);
     }

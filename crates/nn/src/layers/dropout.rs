@@ -4,7 +4,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::Mode;
 use crate::tensor::Tensor;
 
 /// Inverted dropout: during training each element is zeroed with probability
@@ -39,8 +38,10 @@ impl Dropout {
         self.rate
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Eval || self.rate == 0.0 {
+    /// Training forward: scales the input by a fresh random mask, cached
+    /// for `backward`.
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        if self.rate == 0.0 {
             self.cached_mask = None;
             return input.clone();
         }
@@ -60,8 +61,8 @@ impl Dropout {
         out
     }
 
-    /// Inference-only forward into a caller-owned buffer: dropout is the
-    /// identity in evaluation mode, so this is a plain copy.
+    /// Forward into a caller-owned buffer: dropout is the identity at
+    /// inference, so this is a plain copy.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
         out.resize_in_place(input.shape());
         out.data_mut().copy_from_slice(input.data());
@@ -81,23 +82,25 @@ mod tests {
 
     #[test]
     fn eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.forward(&x, Mode::Eval), x);
+        let mut y = Tensor::default();
+        d.infer(&x, &mut y);
+        assert_eq!(y, x);
     }
 
     #[test]
     fn zero_rate_is_identity_even_in_train() {
         let mut d = Dropout::new(0.0, 1);
         let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(d.forward(&x, Mode::Train), x);
+        assert_eq!(d.forward_train(&x), x);
     }
 
     #[test]
     fn train_mode_preserves_expectation() {
         let mut d = Dropout::new(0.5, 42);
         let x = Tensor::ones(&[10_000]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_train(&x);
         // Survivors are scaled to 2.0; the mean should stay near 1.
         assert!((y.mean() - 1.0).abs() < 0.1, "mean {}", y.mean());
         assert!(y.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
@@ -107,7 +110,7 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[100]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_train(&x);
         let g = d.backward(&Tensor::ones(&[100]));
         // Gradient flows exactly where the activations survived.
         for (a, b) in y.data().iter().zip(g.data()) {
@@ -119,8 +122,8 @@ mod tests {
     fn successive_masks_differ() {
         let mut d = Dropout::new(0.5, 9);
         let x = Tensor::ones(&[64]);
-        let a = d.forward(&x, Mode::Train);
-        let b = d.forward(&x, Mode::Train);
+        let a = d.forward_train(&x);
+        let b = d.forward_train(&x);
         assert_ne!(a.data(), b.data());
     }
 

@@ -17,16 +17,17 @@ impl Flatten {
         Self::default()
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert!(input.ndim() >= 1, "Flatten requires at least rank 1");
+    /// Training forward: caches the input shape for `backward`, then runs
+    /// [`Self::infer`].
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
         self.cached_shape = Some(input.shape().to_vec());
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        input.reshape(&[batch, rest]).expect("flatten reshape cannot change the element count")
+        let mut out = Tensor::default();
+        self.infer(input, &mut out);
+        out
     }
 
-    /// Inference-only forward into a caller-owned buffer: copies the data
-    /// under the flattened shape without caching the input shape.
+    /// Forward into a caller-owned buffer: copies the data under the
+    /// flattened shape.
     pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
         assert!(input.ndim() >= 1, "Flatten requires at least rank 1");
         let batch = input.shape()[0];
@@ -51,7 +52,7 @@ mod tests {
     fn flattens_and_restores() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4]);
-        let y = f.forward(&x);
+        let y = f.forward_train(&x);
         assert_eq!(y.shape(), &[2, 12]);
         let gx = f.backward(&Tensor::zeros(&[2, 12]));
         assert_eq!(gx.shape(), &[2, 3, 4]);
@@ -61,7 +62,7 @@ mod tests {
     fn preserves_order() {
         let mut f = Flatten::new();
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = f.forward(&x);
+        let y = f.forward_train(&x);
         assert_eq!(y.data(), &[1.0, 2.0, 3.0, 4.0]);
     }
 }

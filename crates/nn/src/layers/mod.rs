@@ -2,8 +2,10 @@
 //!
 //! Layers are concrete structs wrapped by the [`Layer`] enum so that whole
 //! networks are [`serde`]-serializable and `Clone`/`Debug` without trait
-//! objects. Every layer caches what it needs during [`Layer::forward`] so
-//! that [`Layer::backward`] can compute gradients with plain backpropagation.
+//! objects. Each layer computes its output with one kernel,
+//! [`Layer::infer`]; a training [`Layer::forward`] also caches what
+//! [`Layer::backward`] needs to compute gradients with plain
+//! backpropagation.
 
 mod activation;
 mod batchnorm;
@@ -67,6 +69,14 @@ pub(crate) fn grad_buffer<'a>(grad: &'a mut Tensor, value: &Tensor) -> &'a mut T
     grad
 }
 
+/// Stores a copy of `t` in `slot`, reusing the allocation already there.
+pub(crate) fn remember(slot: &mut Option<Tensor>, t: &Tensor) {
+    match slot {
+        Some(c) => c.copy_from(t),
+        None => *slot = Some(t.clone()),
+    }
+}
+
 /// Any layer supported by this crate.
 ///
 /// # Examples
@@ -104,27 +114,41 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Runs the layer forward, caching whatever `backward` will need.
+    /// Runs the layer forward.
+    ///
+    /// [`Mode::Eval`] runs [`Layer::infer`] into a fresh output and writes
+    /// no layer state. [`Mode::Train`] runs the layer's training forward,
+    /// which records what [`Layer::backward`] needs (the input, the output
+    /// of a sigmoid or tanh, the pooling argmax, the flattened shape) and
+    /// computes the output with the same `infer` kernel, so both modes
+    /// produce the same bits. Only batch normalization (batch statistics)
+    /// and dropout (a random mask) train with different arithmetic.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        match self {
-            Layer::Dense(l) => l.forward(input, mode),
-            Layer::BatchNorm1d(l) => l.forward(input, mode),
-            Layer::Conv1d(l) => l.forward(input, mode),
-            Layer::Conv2d(l) => l.forward(input, mode),
-            Layer::Activation(l) => l.forward(input),
-            Layer::Dropout(l) => l.forward(input, mode),
-            Layer::Flatten(l) => l.forward(input),
-            Layer::MaxPool1d(l) => l.forward(input),
-            Layer::MaxPool2d(l) => l.forward(input),
+        match (self, mode) {
+            (layer, Mode::Eval) => {
+                let mut out = Tensor::default();
+                layer.infer(input, &mut out, &mut Vec::new());
+                out
+            }
+            (Layer::Dense(l), Mode::Train) => l.forward_train(input),
+            (Layer::BatchNorm1d(l), Mode::Train) => l.forward_train(input),
+            (Layer::Conv1d(l), Mode::Train) => l.forward_train(input),
+            (Layer::Conv2d(l), Mode::Train) => l.forward_train(input),
+            (Layer::Activation(l), Mode::Train) => l.forward_train(input),
+            (Layer::Dropout(l), Mode::Train) => l.forward_train(input),
+            (Layer::Flatten(l), Mode::Train) => l.forward_train(input),
+            (Layer::MaxPool1d(l), Mode::Train) => l.forward_train(input),
+            (Layer::MaxPool2d(l), Mode::Train) => l.forward_train(input),
         }
     }
 
-    /// Inference-only forward into a caller-owned output buffer.
+    /// Inference forward into a caller-owned output buffer: the one
+    /// kernel each layer has for the arithmetic that does not depend on
+    /// [`Mode`].
     ///
-    /// Bit-identical to [`Layer::forward`] in [`Mode::Eval`] but takes
-    /// `&self` (no training caches are written) and reuses `out` plus the
-    /// `cols` im2col scratch, so a warmed-up buffer pair makes repeated
-    /// inference allocation-free. See [`crate::InferArena`].
+    /// Takes `&self` (no training caches are written) and reuses `out`
+    /// plus the `cols` im2col scratch, so a warmed-up buffer pair makes
+    /// repeated inference allocation-free. See [`crate::InferArena`].
     pub fn infer(&self, input: &Tensor, out: &mut Tensor, cols: &mut Vec<f32>) {
         match self {
             Layer::Dense(l) => l.infer(input, out),
@@ -144,7 +168,8 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` on layers that cache activations.
+    /// Panics if called before a [`Mode::Train`] forward on layers that
+    /// cache activations.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         match self {
             Layer::Dense(l) => l.backward(grad_output),
@@ -340,5 +365,67 @@ impl From<MaxPool1d> for Layer {
 impl From<MaxPool2d> for Layer {
     fn from(l: MaxPool2d) -> Self {
         Layer::MaxPool2d(l)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    /// Every layer whose training forward runs its `infer` kernel, each
+    /// with an input it accepts.
+    fn single_body_layers() -> Vec<(Layer, Tensor)> {
+        let mut rng = StdRng::seed_from_u64(21);
+        let layers: Vec<(Layer, &[usize])> = vec![
+            (Dense::new(6, 4, &mut rng).into(), &[3, 6]),
+            (Conv1d::new(2, 3, 3, 1, &mut rng).into(), &[3, 2, 9]),
+            (Conv2d::new(2, 3, 3, 1, &mut rng).into(), &[3, 2, 6, 5]),
+            (Activation::relu().into(), &[3, 7]),
+            (Activation::leaky_relu().into(), &[3, 7]),
+            (Activation::sigmoid().into(), &[3, 7]),
+            (Activation::tanh().into(), &[3, 7]),
+            (MaxPool1d::new(2).into(), &[3, 2, 9]),
+            (MaxPool2d::new(2).into(), &[3, 2, 6, 5]),
+            (Flatten::new().into(), &[3, 2, 6, 5]),
+        ];
+        layers
+            .into_iter()
+            .map(|(layer, shape)| (layer, Tensor::rand_uniform(shape, -2.0, 2.0, &mut rng)))
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn train_forward_equals_infer_bitwise() {
+        for (mut layer, x) in single_body_layers() {
+            let mut inferred = Tensor::default();
+            layer.infer(&x, &mut inferred, &mut Vec::new());
+            let trained = layer.forward(&x, Mode::Train);
+            assert_eq!(trained.shape(), inferred.shape(), "{layer:?}");
+            assert_eq!(bits(&trained), bits(&inferred), "{layer:?}");
+        }
+    }
+
+    #[test]
+    fn eval_forward_leaves_nothing_for_backward() {
+        for (mut layer, x) in single_body_layers() {
+            let y = layer.forward(&x, Mode::Eval);
+            let payload = catch_unwind(AssertUnwindSafe(|| layer.backward(&y)))
+                .expect_err("backward after an Eval-only forward must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains("called before forward"), "{layer:?}: {message}");
+        }
     }
 }

@@ -46,66 +46,58 @@ impl MaxPool1d {
         self.kernel
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// Training forward: the window scan with argmax indices, cached for
+    /// `backward`.
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let (mut out, mut argmax) = (Tensor::default(), Vec::new());
+        self.scan(input, &mut out, Some(&mut argmax));
+        self.cached = Some(PoolCache { input_shape: input.shape().to_vec(), argmax });
+        out
+    }
+
+    /// Forward into a caller-owned buffer: the window scan, with no
+    /// argmax indices recorded.
+    pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
+        self.scan(input, out, None);
+    }
+
+    /// The window scan. Given an `argmax` buffer, it also records the flat
+    /// input index of each window's max: the window's first element unless
+    /// a later one is strictly greater.
+    fn scan(&self, input: &Tensor, out: &mut Tensor, mut argmax: Option<&mut Vec<usize>>) {
         assert_eq!(input.ndim(), 3, "MaxPool1d expects [b, c, l], got {:?}", input.shape());
         let (batch, ch, len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let out_len = len / self.kernel;
-        assert!(out_len > 0, "input length {len} shorter than pool kernel {}", self.kernel);
-        let x = input.data();
-        let mut out = Tensor::zeros(&[batch, ch, out_len]);
-        let mut argmax = vec![0usize; batch * ch * out_len];
-        let o = out.data_mut();
-        for b in 0..batch {
-            for c in 0..ch {
-                for t in 0..out_len {
-                    let base = (b * ch + c) * len + t * self.kernel;
-                    let mut best_idx = base;
-                    let mut best = x[base];
-                    for k in 1..self.kernel {
-                        if x[base + k] > best {
-                            best = x[base + k];
-                            best_idx = base + k;
-                        }
+        let k = self.kernel;
+        let out_len = len / k;
+        assert!(out_len > 0, "input length {len} shorter than pool kernel {k}");
+        out.resize_in_place(&[batch, ch, out_len]);
+        if let Some(a) = argmax.as_deref_mut() {
+            a.clear();
+            a.resize(out.len(), 0);
+        }
+        let (x, o) = (input.data(), out.data_mut());
+        for p in 0..batch * ch {
+            for t in 0..out_len {
+                let first = p * len + t * k;
+                let window = &x[first..first + k];
+                let (mut best, mut best_at) = (window[0], 0);
+                for (i, &v) in window.iter().enumerate().skip(1) {
+                    if v > best {
+                        best = v;
+                        best_at = i;
                     }
-                    let oi = (b * ch + c) * out_len + t;
-                    o[oi] = best;
-                    argmax[oi] = best_idx;
+                }
+                o[p * out_len + t] = best;
+                if let Some(a) = argmax.as_deref_mut() {
+                    a[p * out_len + t] = first + best_at;
                 }
             }
         }
-        self.cached = Some(PoolCache { input_shape: input.shape().to_vec(), argmax });
-        out
     }
 
     pub(crate) fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cached.as_ref().expect("MaxPool1d::backward called before forward");
         scatter_pool_grad(cache, grad_output)
-    }
-
-    /// Inference-only forward into a caller-owned buffer: the same window
-    /// scan as `forward` without recording argmax indices.
-    pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.ndim(), 3, "MaxPool1d expects [b, c, l], got {:?}", input.shape());
-        let (batch, ch, len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let out_len = len / self.kernel;
-        assert!(out_len > 0, "input length {len} shorter than pool kernel {}", self.kernel);
-        out.resize_in_place(&[batch, ch, out_len]);
-        let x = input.data();
-        let o = out.data_mut();
-        for b in 0..batch {
-            for c in 0..ch {
-                for t in 0..out_len {
-                    let base = (b * ch + c) * len + t * self.kernel;
-                    let mut best = x[base];
-                    for k in 1..self.kernel {
-                        if x[base + k] > best {
-                            best = x[base + k];
-                        }
-                    }
-                    o[(b * ch + c) * out_len + t] = best;
-                }
-            }
-        }
     }
 }
 
@@ -125,80 +117,65 @@ impl MaxPool2d {
         self.kernel
     }
 
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// Training forward: the window scan with argmax indices, cached for
+    /// `backward`.
+    pub(crate) fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let (mut out, mut argmax) = (Tensor::default(), Vec::new());
+        self.scan(input, &mut out, Some(&mut argmax));
+        self.cached = Some(PoolCache { input_shape: input.shape().to_vec(), argmax });
+        out
+    }
+
+    /// Forward into a caller-owned buffer: the window scan, with no
+    /// argmax indices recorded.
+    pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
+        self.scan(input, out, None);
+    }
+
+    /// The window scan. Given an `argmax` buffer, it also records the flat
+    /// input index of each window's max: the window's first element unless
+    /// a later one is strictly greater, so a window with no value above −∞
+    /// routes its gradient inside itself.
+    fn scan(&self, input: &Tensor, out: &mut Tensor, mut argmax: Option<&mut Vec<usize>>) {
         assert_eq!(input.ndim(), 4, "MaxPool2d expects [b, c, h, w], got {:?}", input.shape());
         let (batch, ch, h, w) =
             (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let (oh, ow) = (h / self.kernel, w / self.kernel);
-        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pool kernel {}", self.kernel);
-        let x = input.data();
-        let mut out = Tensor::zeros(&[batch, ch, oh, ow]);
-        let mut argmax = vec![0usize; batch * ch * oh * ow];
-        let o = out.data_mut();
-        for b in 0..batch {
-            for c in 0..ch {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.kernel + ky;
-                                let ix = ox * self.kernel + kx;
-                                let idx = ((b * ch + c) * h + iy) * w + ix;
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
+        let k = self.kernel;
+        let (oh, ow) = (h / k, w / k);
+        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pool kernel {k}");
+        out.resize_in_place(&[batch, ch, oh, ow]);
+        if let Some(a) = argmax.as_deref_mut() {
+            a.clear();
+            a.resize(out.len(), 0);
+        }
+        let (x, o) = (input.data(), out.data_mut());
+        for p in 0..batch * ch {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let first = (p * h + oy * k) * w + ox * k;
+                    let (mut best, mut best_idx) = (x[first], first);
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = first + ky * w + kx;
+                            if x[idx] > best {
+                                best = x[idx];
+                                best_idx = idx;
                             }
                         }
-                        let oi = ((b * ch + c) * oh + oy) * ow + ox;
-                        o[oi] = best;
-                        argmax[oi] = best_idx;
+                    }
+                    let oi = (p * oh + oy) * ow + ox;
+                    o[oi] = best;
+                    if let Some(a) = argmax.as_deref_mut() {
+                        a[oi] = best_idx;
                     }
                 }
             }
         }
-        self.cached = Some(PoolCache { input_shape: input.shape().to_vec(), argmax });
-        out
     }
 
     pub(crate) fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cached.as_ref().expect("MaxPool2d::backward called before forward");
         scatter_pool_grad(cache, grad_output)
-    }
-
-    /// Inference-only forward into a caller-owned buffer: the same window
-    /// scan as `forward` without recording argmax indices.
-    pub(crate) fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.ndim(), 4, "MaxPool2d expects [b, c, h, w], got {:?}", input.shape());
-        let (batch, ch, h, w) =
-            (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let (oh, ow) = (h / self.kernel, w / self.kernel);
-        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pool kernel {}", self.kernel);
-        out.resize_in_place(&[batch, ch, oh, ow]);
-        let x = input.data();
-        let o = out.data_mut();
-        for b in 0..batch {
-            for c in 0..ch {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.kernel + ky;
-                                let ix = ox * self.kernel + kx;
-                                let v = x[((b * ch + c) * h + iy) * w + ix];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        o[((b * ch + c) * oh + oy) * ow + ox] = best;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -224,7 +201,7 @@ mod tests {
     fn pool1d_picks_window_max() {
         let mut p = MaxPool1d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 6], vec![1.0, 3.0, 2.0, 2.0, 5.0, 4.0]).unwrap();
-        let y = p.forward(&x);
+        let y = p.forward_train(&x);
         assert_eq!(y.data(), &[3.0, 2.0, 5.0]);
     }
 
@@ -232,7 +209,7 @@ mod tests {
     fn pool1d_drops_trailing_remainder() {
         let mut p = MaxPool1d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 5], vec![1.0, 2.0, 3.0, 4.0, 99.0]).unwrap();
-        let y = p.forward(&x);
+        let y = p.forward_train(&x);
         assert_eq!(y.shape(), &[1, 1, 2]);
         assert_eq!(y.data(), &[2.0, 4.0]);
     }
@@ -241,7 +218,7 @@ mod tests {
     fn pool1d_backward_routes_to_argmax() {
         let mut p = MaxPool1d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 4], vec![1.0, 3.0, 5.0, 2.0]).unwrap();
-        let _ = p.forward(&x);
+        let _ = p.forward_train(&x);
         let gy = Tensor::from_vec(vec![1, 1, 2], vec![10.0, 20.0]).unwrap();
         let gx = p.backward(&gy);
         assert_eq!(gx.data(), &[0.0, 10.0, 20.0, 0.0]);
@@ -260,7 +237,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = p.forward(&x);
+        let y = p.forward_train(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
     }
@@ -269,17 +246,36 @@ mod tests {
     fn pool2d_backward_routes_to_argmax() {
         let mut p = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![4.0, 1.0, 2.0, 3.0]).unwrap();
-        let _ = p.forward(&x);
+        let _ = p.forward_train(&x);
         let gy = Tensor::from_vec(vec![1, 1, 1, 1], vec![7.0]).unwrap();
         let gx = p.backward(&gy);
         assert_eq!(gx.data(), &[7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
+    fn pool2d_routes_an_all_negative_infinity_window_inside_itself() {
+        let mut p = MaxPool2d::new(2);
+        let inf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            vec![1, 1, 2, 4],
+            vec![
+                1.0, 2.0, inf, inf, //
+                3.0, 4.0, inf, inf,
+            ],
+        )
+        .unwrap();
+        let y = p.forward_train(&x);
+        assert_eq!(y.data(), &[4.0, inf]);
+        let gx = p.backward(&Tensor::from_vec(vec![1, 1, 1, 2], vec![1.0, 7.0]).unwrap());
+        // The second window's gradient lands on its own first element.
+        assert_eq!(gx.data(), &[0.0, 0.0, 7.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
     fn pool2d_negative_values() {
         let mut p = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![-4.0, -1.0, -2.0, -3.0]).unwrap();
-        let y = p.forward(&x);
+        let y = p.forward_train(&x);
         assert_eq!(y.data(), &[-1.0]);
     }
 }

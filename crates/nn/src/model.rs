@@ -4,7 +4,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Deserializer, Error, Serialize};
 
-use crate::layers::{softmax_rows, Layer, Mode, ParamMut};
+use crate::infer::InferArena;
+use crate::layers::{Layer, Mode, ParamMut};
 use crate::loss::cross_entropy;
 use crate::optim::Adam;
 use crate::tensor::{ShapeError, Tensor};
@@ -147,10 +148,10 @@ impl Sequential {
         serde_json::from_str(json)
     }
 
-    /// Softmax class probabilities for a batch, in inference mode.
-    pub fn predict_proba(&mut self, input: &Tensor) -> Tensor {
-        let logits = self.forward(input, Mode::Eval);
-        softmax_rows(&logits)
+    /// Softmax class probabilities for a batch, in inference mode: a
+    /// [`Self::infer_proba`] through an arena of its own.
+    pub fn predict_proba(&self, input: &Tensor) -> Tensor {
+        self.infer_proba(input, &mut InferArena::new()).clone()
     }
 }
 
@@ -344,7 +345,7 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_predictions() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Dense::new(3, 4, &mut rng).into(),
             Activation::relu().into(),
             Dense::new(4, 2, &mut rng).into(),
@@ -352,7 +353,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng);
         let before = net.predict_proba(&x);
         let json = net.to_json().unwrap();
-        let mut restored = Sequential::from_json(&json).unwrap();
+        let restored = Sequential::from_json(&json).unwrap();
         let after = restored.predict_proba(&x);
         for (a, b) in before.data().iter().zip(after.data()) {
             assert!((a - b).abs() < 1e-6);
@@ -378,9 +379,26 @@ mod tests {
     }
 
     #[test]
+    fn predict_proba_equals_infer_proba_bitwise() {
+        use crate::layers::{Conv2d, Flatten, MaxPool2d};
+        let mut rng = StdRng::seed_from_u64(8);
+        let net = Sequential::new(vec![
+            Conv2d::new(2, 3, 3, 1, &mut rng).into(),
+            Activation::relu().into(),
+            MaxPool2d::new(2).into(),
+            Flatten::new().into(),
+            Dense::new(3 * 4 * 4, 2, &mut rng).into(),
+        ]);
+        let x = Tensor::rand_uniform(&[5, 2, 8, 8], -1.0, 1.0, &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let expected = bits(net.infer_proba(&x, &mut crate::InferArena::new()));
+        assert_eq!(bits(&net.predict_proba(&x)), expected);
+    }
+
+    #[test]
     fn predict_proba_rows_sum_to_one() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut net = Sequential::new(vec![Dense::new(2, 3, &mut rng).into()]);
+        let net = Sequential::new(vec![Dense::new(2, 3, &mut rng).into()]);
         let p = net.predict_proba(&Tensor::rand_uniform(&[5, 2], -1.0, 1.0, &mut rng));
         for r in 0..5 {
             let s: f32 = p.row(r).iter().sum();

@@ -33,7 +33,7 @@ use noodle_compute::gemm_bt_i8;
 use noodle_profile::{EventKind, KernelTimer};
 use serde::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
 
-use crate::infer::InferArena;
+use crate::infer::{ping_pong, InferArena};
 use crate::layers::{softmax_rows_inplace, Layer};
 use crate::lowering::{im2col_1d, im2col_2d};
 use crate::model::Sequential;
@@ -521,7 +521,7 @@ impl QuantizedModel {
     }
 
     /// Runs quantized inference, returning the logits as a view into the
-    /// arena. Mirrors [`Sequential::infer_batch`]'s ping-pong exactly.
+    /// arena, through the same ping-pong walk as [`Sequential::infer_batch`].
     pub fn infer_batch<'a>(&self, input: &Tensor, arena: &'a mut InferArena) -> &'a Tensor {
         let idx = self.infer_into(input, arena);
         &arena.bufs[idx]
@@ -535,26 +535,8 @@ impl QuantizedModel {
     }
 
     fn infer_into(&self, input: &Tensor, arena: &mut InferArena) -> usize {
-        if self.layers.is_empty() {
-            arena.bufs[0].copy_from(input);
-            return 0;
-        }
-        let mut cur = 0;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let InferArena { bufs, cols, qbuf, qacc } = arena;
-            let (first, second) = bufs.split_at_mut(1);
-            if i == 0 {
-                layer.infer(input, &mut first[0], cols, qbuf, qacc);
-                cur = 0;
-            } else if cur == 0 {
-                layer.infer(&first[0], &mut second[0], cols, qbuf, qacc);
-                cur = 1;
-            } else {
-                layer.infer(&second[0], &mut first[0], cols, qbuf, qacc);
-                cur = 0;
-            }
-        }
-        cur
+        let InferArena { bufs, cols, qbuf, qacc } = arena;
+        ping_pong(&self.layers, input, bufs, |layer, x, out| layer.infer(x, out, cols, qbuf, qacc))
     }
 }
 

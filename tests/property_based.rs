@@ -1,12 +1,13 @@
 //! Cross-crate property-based tests: invariants that must hold for *any*
 //! generated circuit, any Trojan insertion, and any p-value fusion.
 //!
-//! Each property runs on [`CASES`] cases. Case `k` draws its inputs from
-//! its own `StdRng` seeded with `BASE_SEED + k`, and a failure names that
-//! seed, so a failing case reruns alone from the seed in the message.
+//! Each property runs on [`CASES`] cases through the seeded runner in
+//! `tests/support/cases.rs`; a failure names the case's seed.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+#[path = "support/cases.rs"]
+mod cases;
 
+use cases::check;
 use noodle::bench_gen::{families, insert_trojan, CircuitFamily, TrojanSpec};
 use noodle::conformal::{Combiner, MondrianIcp};
 use noodle::graph::{build_graph, graph_image, graph_stats};
@@ -17,24 +18,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const CASES: u64 = 48;
-const BASE_SEED: u64 = 0x9E0D_1E00;
-
-/// Runs `property` once per case with that case's generator, and panics
-/// with the case's seed (and the property's own message) on the first
-/// failure.
-fn check(property: impl Fn(&mut StdRng)) {
-    for seed in BASE_SEED..BASE_SEED + CASES {
-        let outcome = catch_unwind(AssertUnwindSafe(|| property(&mut StdRng::seed_from_u64(seed))));
-        if let Err(payload) = outcome {
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("(no message)");
-            panic!("case with seed {seed:#x} failed: {message}");
-        }
-    }
-}
 
 fn family(rng: &mut StdRng) -> CircuitFamily {
     CircuitFamily::ALL[rng.random_range(0..CircuitFamily::ALL.len())]
@@ -54,7 +37,7 @@ fn forecasts(rng: &mut StdRng, lengths: std::ops::Range<usize>) -> (Vec<f64>, Ve
 /// Print → parse is a fixpoint for every generated circuit.
 #[test]
 fn print_parse_fixpoint() {
-    check(|rng| {
+    check(CASES, |rng| {
         let family = family(rng);
         let mut rng = StdRng::seed_from_u64(rng.random_range(0u64..1000));
         let circuit = families::generate(family, "fixpoint_probe", &mut rng);
@@ -69,7 +52,7 @@ fn print_parse_fixpoint() {
 /// graph differ from the benign original.
 #[test]
 fn trojan_insertion_invariants() {
-    check(|rng| {
+    check(CASES, |rng| {
         let (family, spec) = (family(rng), spec(rng));
         let mut rng = StdRng::seed_from_u64(rng.random_range(0u64..1000));
         let mut circuit = families::generate(family, "victim", &mut rng);
@@ -93,7 +76,7 @@ fn trojan_insertion_invariants() {
 /// Graph invariants for arbitrary generated circuits.
 #[test]
 fn graph_invariants() {
-    check(|rng| {
+    check(CASES, |rng| {
         let family = family(rng);
         let mut rng = StdRng::seed_from_u64(rng.random_range(0u64..1000));
         let circuit = families::generate(family, "graph_probe", &mut rng);
@@ -113,7 +96,7 @@ fn graph_invariants() {
 /// Tabular features of any generated circuit are finite and non-negative.
 #[test]
 fn tabular_features_are_sane() {
-    check(|rng| {
+    check(CASES, |rng| {
         let family = family(rng);
         let mut rng = StdRng::seed_from_u64(rng.random_range(0u64..1000));
         let circuit = families::generate(family, "tab_probe", &mut rng);
@@ -127,7 +110,7 @@ fn tabular_features_are_sane() {
 /// monotone under strengthening evidence.
 #[test]
 fn combiner_invariants() {
-    check(|rng| {
+    check(CASES, |rng| {
         let p1 = rng.random_range(0.001f64..1.0);
         let p2 = rng.random_range(0.001f64..1.0);
         let shrink = rng.random_range(0.1f64..0.9);
@@ -144,7 +127,7 @@ fn combiner_invariants() {
 /// Mondrian p-values are valid and monotone in the score.
 #[test]
 fn icp_p_value_monotonicity() {
-    check(|rng| {
+    check(CASES, |rng| {
         let len = rng.random_range(8usize..60);
         let scores: Vec<f32> = (0..len).map(|_| rng.random_range(0.0f32..1.0)).collect();
         let probe = rng.random_range(0.0f32..1.0);
@@ -165,7 +148,7 @@ fn icp_p_value_monotonicity() {
 /// random forecasts.
 #[test]
 fn brier_bounds_and_identity() {
-    check(|rng| {
+    check(CASES, |rng| {
         let (probs, outcomes) = forecasts(rng, 10..80);
         let bs = brier_score(&probs, &outcomes);
         assert!((0.0..=1.0).contains(&bs));
@@ -178,7 +161,7 @@ fn brier_bounds_and_identity() {
 /// AUC is within [0, 1] and label inversion flips it around 0.5.
 #[test]
 fn auc_inversion_symmetry() {
-    check(|rng| {
+    check(CASES, |rng| {
         let (probs, mut outcomes) = forecasts(rng, 8..60);
         outcomes[0] = true;
         outcomes[1] = false;
