@@ -46,11 +46,16 @@ pub struct Scale {
 }
 
 /// The paper-faithful scale: 40-design corpus (28 TF / 12 TI) amplified to
-/// 500 points, ~110 test designs (the paper's Fig. 3 histogram shows 109).
+/// 500 points, ~110 test designs (the paper's Fig. 3 histogram shows 109),
+/// calibrated on the amplified corpus as the paper does.
 pub fn paper_scale() -> Scale {
     Scale {
         corpus: CorpusConfig::default(),
-        noodle: NoodleConfig { train_imputers: false, ..NoodleConfig::default() },
+        noodle: NoodleConfig {
+            train_imputers: false,
+            amplified_calibration: true,
+            ..NoodleConfig::default()
+        },
         repeats: 20,
         name: "paper",
     }

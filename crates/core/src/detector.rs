@@ -1,10 +1,11 @@
 //! The NOODLE detector: multimodal CNNs + Mondrian ICP + p-value fusion.
 //!
 //! [`NoodleDetector::fit`] implements Algorithm 2 of the paper end to end:
-//! GAN amplification of the small corpus, per-modality CNN training, early
-//! and late fusion with uncertainty-aware p-value combination
-//! (Algorithm 1), and selection of the winning fusion strategy by Brier
-//! score. The fitted detector then classifies new RTL with calibrated
+//! GAN amplification of the small corpus (less the real designs it sets
+//! aside to calibrate the conformal predictors), per-modality CNN
+//! training, early and late fusion with uncertainty-aware p-value
+//! combination (Algorithm 1), and selection of the winning fusion strategy
+//! by Brier score. The fitted detector then classifies new RTL with calibrated
 //! uncertainty, including designs with a missing modality (imputed by a
 //! conditional GAN).
 
@@ -20,7 +21,9 @@ use noodle_observe::{
     emit_if, AuditHeader, AuditSink, CalibrationBaseline, PredictionRecord, ScoreBaseline,
     ServeInfo, SourceProbe, AUDIT_SCHEMA_VERSION,
 };
-use rand::{Rng, RngExt};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::amplify::amplify_dataset;
@@ -44,21 +47,41 @@ pub struct NoodleConfig {
     pub amplify_per_class: usize,
     /// P-value combination method for late fusion.
     pub combiner: Combiner,
-    /// Fraction of the amplified corpus used for CNN training.
+    /// Fraction of the corpus used for CNN training. Under the
+    /// paper-style evaluation it is a share of the amplified corpus: the
+    /// amplification pool is split `train_frac / (1 − calib_frac)` into
+    /// train and the rest into test.
     pub train_frac: f64,
-    /// Fraction used for conformal calibration.
+    /// Fraction used for conformal calibration. Unless
+    /// `amplified_calibration` is set, it is carved per class from the real
+    /// designs outside the held-out test set before amplification, so the
+    /// calibration set holds only real designs that neither the GAN nor the
+    /// CNNs ever saw; with it set, it is a share of the amplified corpus.
     pub calib_frac: f64,
     /// Significance level ε for prediction regions.
     pub significance: f64,
     /// Whether to train the cross-modal imputers (needed only for
     /// missing-modality detection).
     pub train_imputers: bool,
-    /// Evaluation protocol: `false` (paper-faithful) amplifies the whole
-    /// corpus before splitting, so the test split contains GAN-synthetic
-    /// samples; `true` holds out *real* designs for testing and amplifies
-    /// only the training/calibration pool (no synthetic leakage into the
-    /// evaluation).
+    /// Evaluation protocol: `false` (paper-faithful) tests on a share of
+    /// the amplified corpus, so the test split contains GAN-synthetic
+    /// samples; `true` holds out *real* designs for testing before
+    /// anything is amplified, and the whole amplified pool trains (no
+    /// synthetic leakage into the evaluation).
     pub holdout_real_test: bool,
+    /// Calibration protocol: `true` calibrates the ICPs on a share of the
+    /// GAN-amplified corpus, as the paper does, so most calibration points
+    /// are synthetic and real submissions are not exchangeable with them;
+    /// `false` calibrates on real designs held out before amplification,
+    /// which is what makes the Mondrian guarantee hold for served designs.
+    /// Model files written before this field existed were calibrated the
+    /// paper's way, so it reads `true` when absent.
+    #[serde(default = "amplified_calibration_when_absent")]
+    pub amplified_calibration: bool,
+}
+
+fn amplified_calibration_when_absent() -> bool {
+    true
 }
 
 impl Default for NoodleConfig {
@@ -74,6 +97,7 @@ impl Default for NoodleConfig {
             significance: 0.1,
             train_imputers: true,
             holdout_real_test: false,
+            amplified_calibration: false,
         }
     }
 }
@@ -387,6 +411,14 @@ pub struct NoodleDetector {
 impl NoodleDetector {
     /// Fits the full pipeline on a multimodal dataset (Algorithm 2).
     ///
+    /// Per class, `calib_frac` of the real designs (outside the held-out
+    /// test set under `holdout_real_test`) is set aside for conformal
+    /// calibration before anything is amplified; the rest is GAN-amplified
+    /// and trains the CNNs. The paper-style evaluation tests on a share of
+    /// that amplified pool; `holdout_real_test` tests on real designs held
+    /// out first. `amplified_calibration` restores the paper's protocol of
+    /// calibrating on the amplified corpus.
+    ///
     /// # Errors
     ///
     /// Returns [`PipelineError`] if the dataset is too small to split into
@@ -402,33 +434,30 @@ impl NoodleDetector {
         }
         let _span = noodle_telemetry::span!("pipeline.fit", designs = dataset.len());
 
-        // Steps 1–2: GAN amplification (class-conditional, joint
-        // modalities) and stratified splitting. The paper amplifies the
-        // whole corpus before splitting, so the test split contains
-        // synthetic samples; with `holdout_real_test` the test split is
-        // carved from the *real* designs first and only the remaining pool
-        // is amplified — the leakage-free protocol.
+        // Steps 1–2: stratified splitting and GAN amplification
+        // (class-conditional, joint modalities). With `holdout_real_test`
+        // the test split is carved from the *real* designs first — the
+        // leakage-free protocol; otherwise it comes from the amplified pool.
         let split_seed = rng.random::<u64>();
-        let (amplified, split) = if config.holdout_real_test {
+        let test_indices: Vec<usize> = if config.holdout_real_test {
             let test_frac = 1.0 - config.train_frac - config.calib_frac;
             let real = dataset.split(1.0 - test_frac - 1e-9, test_frac / 2.0, split_seed);
-            // `real.train` is the amplification pool; `real.calibration` and
-            // `real.test` together form the held-out real test set.
-            let test_indices: Vec<usize> =
-                real.calibration.iter().chain(&real.test).copied().collect();
-            prepare_holdout(dataset, &test_indices, config, split_seed, rng)
+            // `real.calibration` and `real.test` together form the held-out
+            // real test set.
+            real.calibration.iter().chain(&real.test).copied().collect()
         } else {
-            let amplified = amplify_dataset(dataset, config.amplify_per_class, &config.gan, rng);
-            let split = amplified.split(config.train_frac, config.calib_frac, split_seed);
-            (amplified, split)
+            Vec::new()
         };
+        let (amplified, split) = prepare(dataset, &test_indices, config, split_seed, rng)?;
         Self::fit_prepared(amplified, split, config, rng)
     }
 
-    /// Fits the pipeline with an explicit held-out real test set: the pool
-    /// (every design outside `test_indices`) is GAN-amplified for training
-    /// and calibration, and the held-out designs form the evaluation split.
-    /// This is the building block of [`crate::cross_validate`].
+    /// Fits the pipeline with an explicit held-out real test set. Per
+    /// class, `calib_frac` of the other designs calibrates the ICPs; the
+    /// rest is GAN-amplified and all of it trains (with
+    /// `amplified_calibration`, the amplified pool is split into train and
+    /// calibration instead). The held-out designs form the evaluation
+    /// split. This is the building block of [`crate::cross_validate`].
     ///
     /// # Errors
     ///
@@ -452,7 +481,7 @@ impl NoodleDetector {
             holdout = test_indices.len(),
         );
         let split_seed = rng.random::<u64>();
-        let (amplified, split) = prepare_holdout(dataset, test_indices, config, split_seed, rng);
+        let (amplified, split) = prepare(dataset, test_indices, config, split_seed, rng)?;
         Self::fit_prepared(amplified, split, config, rng)
     }
 
@@ -1240,36 +1269,91 @@ impl NoodleDetector {
     }
 }
 
-/// Builds the amplified working set and split for a real-holdout fit: the
-/// pool (everything outside `test_indices`) is GAN-amplified and split into
-/// train/calibration; the held-out real designs are appended as the test
-/// part.
-fn prepare_holdout<R: Rng + ?Sized>(
+/// Builds the working set and split for a fit. `held_out` names the real
+/// test designs of the real-holdout protocol; it is empty under the
+/// paper-style evaluation, which tests on a share of the amplified pool.
+///
+/// Real calibration designs are carved from the designs outside
+/// `held_out` ([`carve_calibration`]) and only the rest is amplified; the
+/// calibration designs, then the held-out ones, are appended to the
+/// amplified pool. With `amplified_calibration` the paper's protocol runs
+/// instead: calibration is a share of the amplified corpus.
+fn prepare<R: Rng + ?Sized>(
     dataset: &MultimodalDataset,
-    test_indices: &[usize],
+    held_out: &[usize],
     config: &NoodleConfig,
     split_seed: u64,
     rng: &mut R,
-) -> (MultimodalDataset, Split) {
-    let pool_indices: Vec<usize> =
-        (0..dataset.len()).filter(|i| !test_indices.contains(i)).collect();
-    let pool = dataset.subset(&pool_indices);
-    let mut amplified = amplify_dataset(&pool, config.amplify_per_class, &config.gan, rng);
-    let inner_frac = config.train_frac / (config.train_frac + config.calib_frac);
-    let inner = amplified.split(inner_frac - 1e-9, (1.0 - inner_frac) / 2.0, split_seed ^ 0xA5A5);
-    let offset = amplified.len();
-    for &i in test_indices {
-        amplified.push(dataset.samples()[i].clone());
+) -> Result<(MultimodalDataset, Split), PipelineError> {
+    if config.amplified_calibration && held_out.is_empty() {
+        let amplified = amplify_dataset(dataset, config.amplify_per_class, &config.gan, rng);
+        let split = amplified.split(config.train_frac, config.calib_frac, split_seed);
+        return Ok((amplified, split));
     }
-    let test: Vec<usize> = (offset..amplified.len()).collect();
-    let split = Split {
-        train: inner.train,
+    let remaining: Vec<usize> = (0..dataset.len()).filter(|i| !held_out.contains(i)).collect();
+    let (calibration, pool) = if config.amplified_calibration {
+        (Vec::new(), remaining)
+    } else {
+        carve_calibration(dataset, &remaining, config.calib_frac, split_seed)?
+    };
+    let mut amplified =
+        amplify_dataset(&dataset.subset(&pool), config.amplify_per_class, &config.gan, rng);
+    let inner = |train_frac: f64| {
+        amplified.split(train_frac - 1e-9, (1.0 - train_frac) / 2.0, split_seed ^ 0xA5A5)
+    };
+    let mut split = if config.amplified_calibration {
+        let inner = inner(config.train_frac / (config.train_frac + config.calib_frac));
         // Calibration must stay disjoint from training; fold the inner test
         // remnant into calibration rather than waste it.
-        calibration: inner.calibration.into_iter().chain(inner.test).collect(),
-        test,
+        let calibration = inner.calibration.into_iter().chain(inner.test).collect();
+        Split { train: inner.train, calibration, test: Vec::new() }
+    } else if held_out.is_empty() {
+        let inner = inner(config.train_frac / (1.0 - config.calib_frac));
+        let test = inner.calibration.into_iter().chain(inner.test).collect();
+        Split { train: inner.train, calibration: Vec::new(), test }
+    } else {
+        Split { train: (0..amplified.len()).collect(), calibration: Vec::new(), test: Vec::new() }
     };
-    (amplified, split)
+    let offset = amplified.len();
+    for &i in calibration.iter().chain(held_out) {
+        amplified.push(dataset.samples()[i].clone());
+    }
+    split.calibration.extend(offset..offset + calibration.len());
+    split.test.extend(offset + calibration.len()..amplified.len());
+    Ok((amplified, split))
+}
+
+/// Splits `remaining` (ascending dataset indices) into `(calibration,
+/// pool)`, both sorted: per class, in label order, a `seed` shuffle of the
+/// class's indices sends `round(n × calib_frac)` of them, clamped to
+/// `[1, n − 1]`, to calibration.
+fn carve_calibration(
+    dataset: &MultimodalDataset,
+    remaining: &[usize],
+    calib_frac: f64,
+    seed: u64,
+) -> Result<(Vec<usize>, Vec<usize>), PipelineError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut calibration, mut pool) = (Vec::new(), Vec::new());
+    let max_label = dataset.samples().iter().map(|s| s.label).max().unwrap_or(0);
+    for label in 0..=max_label {
+        let mut indices: Vec<usize> =
+            remaining.iter().copied().filter(|&i| dataset.samples()[i].label == label).collect();
+        let n = indices.len();
+        if n < 2 {
+            return Err(PipelineError::Dataset(format!(
+                "need at least two real designs of class {label} outside the test set \
+                 to calibrate on real designs, found {n}"
+            )));
+        }
+        indices.shuffle(&mut rng);
+        let n_calib = ((n as f64 * calib_frac).round() as usize).clamp(1, n - 1);
+        calibration.extend(&indices[..n_calib]);
+        pool.extend(&indices[n_calib..]);
+    }
+    calibration.sort_unstable();
+    pool.sort_unstable();
+    Ok((calibration, pool))
 }
 
 /// Converts `[1, 2]` softmax probabilities to per-class nonconformity
@@ -1453,6 +1537,73 @@ mod tests {
         // Both classes are present in the real test set.
         assert!(eval.test_labels.contains(&0));
         assert!(eval.test_labels.contains(&1));
+    }
+
+    #[test]
+    fn real_calibration_holds_only_real_designs_the_gan_and_cnns_never_saw() {
+        let corpus =
+            generate_corpus(&CorpusConfig { trojan_free: 14, trojan_infected: 7, seed: 11 });
+        let dataset = MultimodalDataset::from_benchmarks(&corpus).unwrap();
+        let config = NoodleConfig::fast();
+        for held_out in [vec![], vec![0, 5, 15, 20]] {
+            let (working, split) =
+                prepare(&dataset, &held_out, &config, 7, &mut StdRng::seed_from_u64(3)).unwrap();
+            let samples = working.samples();
+            assert!(split.calibration.iter().all(|&i| !samples[i].synthetic));
+            let labels = working.labels(&split.calibration);
+            assert!(labels.contains(&0) && labels.contains(&1), "calibration labels {labels:?}");
+            // The amplified pool comes first; the real calibration designs
+            // and then the held-out ones are appended to it.
+            let pool = &samples[..samples.len() - split.calibration.len() - held_out.len()];
+            for &c in &split.calibration {
+                let name = &samples[c].name;
+                assert!(pool.iter().all(|s| &s.name != name), "{name} was amplified");
+                assert!(split.train.iter().all(|&t| &samples[t].name != name), "{name} trains");
+            }
+            let held_out_names: Vec<&str> =
+                held_out.iter().map(|&i| dataset.samples()[i].name.as_str()).collect();
+            let test_names: Vec<&str> = split.test.iter().map(|&i| &*samples[i].name).collect();
+            if held_out.is_empty() {
+                assert!(!split.test.is_empty());
+            } else {
+                assert_eq!(test_names, held_out_names);
+                assert_eq!(split.train, (0..pool.len()).collect::<Vec<_>>());
+            }
+        }
+
+        // The paper's protocol is today's amplify-then-split, unchanged.
+        let paper = NoodleConfig { amplified_calibration: true, ..config };
+        let (working, split) =
+            prepare(&dataset, &[], &paper, 7, &mut StdRng::seed_from_u64(3)).unwrap();
+        let amplified = amplify_dataset(
+            &dataset,
+            paper.amplify_per_class,
+            &paper.gan,
+            &mut StdRng::seed_from_u64(3),
+        );
+        assert_eq!(split, amplified.split(paper.train_frac, paper.calib_frac, 7));
+        assert_eq!(working, amplified);
+    }
+
+    #[test]
+    fn real_calibration_needs_two_real_designs_per_class_outside_the_test_set() {
+        let corpus = generate_corpus(&CorpusConfig { trojan_free: 6, trojan_infected: 3, seed: 4 });
+        let dataset = MultimodalDataset::from_benchmarks(&corpus).unwrap();
+        let infected = dataset.class_indices(1);
+        let mut rng = StdRng::seed_from_u64(0);
+        let err =
+            NoodleDetector::fit_holdout(&dataset, &infected[..2], &NoodleConfig::fast(), &mut rng)
+                .unwrap_err();
+        assert!(err.to_string().contains("two real designs of class 1"), "{err}");
+    }
+
+    #[test]
+    fn configs_written_before_real_calibration_read_as_amplified() {
+        let json = serde_json::to_string(&NoodleConfig::fast()).unwrap();
+        let old = json.replace(",\"amplified_calibration\":false", "");
+        assert_ne!(old, json);
+        let config: NoodleConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(config, NoodleConfig { amplified_calibration: true, ..NoodleConfig::fast() });
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! 1. RTL (Verilog) designs are converted into two modalities: a **graph
 //!    image** (`noodle-graph`) and a **tabular** code-branching feature
 //!    vector (`noodle-tabular`);
-//! 2. the small, imbalanced corpus is **GAN-amplified** per class over the
+//! 2. per class, some real designs are set aside for calibration and the
+//!    rest of the small, imbalanced corpus is **GAN-amplified** over the
 //!    joint modality vector (`noodle-gan`);
 //! 3. one **CNN per modality** (plus an early-fusion CNN) is trained with
 //!    identical hyperparameters (`noodle-nn`);
-//! 4. **Mondrian inductive conformal prediction** turns each CNN into a
-//!    calibrated p-value source, and **late fusion** combines the
+//! 4. **Mondrian inductive conformal prediction**, calibrated on the
+//!    set-aside real designs, turns each CNN into a p-value source whose
+//!    guarantee covers real submissions, and **late fusion** combines the
 //!    per-modality p-values per class (`noodle-conformal`, Algorithm 1);
 //! 5. early and late fusion compete on **Brier score** and the winner
 //!    classifies new designs with calibrated uncertainty (Algorithm 2).
