@@ -4,14 +4,15 @@
 //! For continuous exchangeable nonconformity scores, the probability that
 //! the true-class p-value falls at or below ε is exactly
 //! `floor(ε·(n_c + 1)) / (n_c + 1)` per class, where `n_c` is that class's
-//! calibration count. The test draws calibration and test scores from the
-//! same class-conditional distributions and asserts the empirical error
-//! rate stays within a wide tolerance band of that target, across several
-//! seeds and ε values. That target is the error rate averaged over
-//! calibration draws; conditional on one calibration set the error follows
+//! calibration count. That is a marginal guarantee: it averages over
+//! calibration draws. Conditional on one calibration set the error follows
 //! Beta(k, n_c + 1 − k) with k = ⌊ε(n_c + 1)⌋ (Vovk 2012, "Conditional
-//! validity of inductive conformal predictors"), so a test that fixes one
-//! calibration draw counts that spread as well as the test-sample noise.
+//! validity of inductive conformal predictors"), which at n_c = 300 spreads
+//! about ±0.02 around the target. The test therefore draws many
+//! independent calibration sets from the same class-conditional
+//! distributions as the test scores and asserts that their mean error rate
+//! stays within a tight band of the target, across several seeds and ε
+//! values.
 
 use noodle_conformal::MondrianIcp;
 use rand::rngs::StdRng;
@@ -32,45 +33,52 @@ fn draw_score(rng: &mut StdRng, class: usize) -> f32 {
 fn empirical_coverage_tracks_one_minus_epsilon_per_class() {
     const CALIB_PER_CLASS: usize = 300;
     const TEST_PER_CLASS: usize = 2500;
+    const DRAWS: usize = 100;
+    const EPSILONS: [f64; 3] = [0.05, 0.1, 0.2];
 
     for &seed in &[7u64, 21, 99] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let calib: Vec<(f32, usize)> = (0..2 * CALIB_PER_CLASS)
-            .map(|i| {
-                let class = i % 2;
-                (draw_score(&mut rng, class), class)
-            })
-            .collect();
-        let icp = MondrianIcp::fit(&calib, 2).unwrap();
-
-        let mut p_values: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
-        for (class, values) in p_values.iter_mut().enumerate() {
-            for _ in 0..TEST_PER_CLASS {
-                let score = draw_score(&mut rng, class);
-                values.push(icp.p_value(class, score));
+        // Mean error rate over calibration draws, per ε and class.
+        let mut mean_rate = [[0.0f64; 2]; EPSILONS.len()];
+        for _ in 0..DRAWS {
+            let calib: Vec<(f32, usize)> = (0..2 * CALIB_PER_CLASS)
+                .map(|i| {
+                    let class = i % 2;
+                    (draw_score(&mut rng, class), class)
+                })
+                .collect();
+            let icp = MondrianIcp::fit(&calib, 2).unwrap();
+            assert_eq!(icp.calibration_count(0), CALIB_PER_CLASS);
+            for class in 0..2 {
+                let p_values: Vec<f64> = (0..TEST_PER_CLASS)
+                    .map(|_| icp.p_value(class, draw_score(&mut rng, class)))
+                    .collect();
+                for (rates, &epsilon) in mean_rate.iter_mut().zip(&EPSILONS) {
+                    let errors = p_values.iter().filter(|&&p| p <= epsilon).count();
+                    rates[class] += errors as f64 / TEST_PER_CLASS as f64 / DRAWS as f64;
+                }
             }
         }
 
-        for &epsilon in &[0.05f64, 0.1, 0.2] {
-            for (class, values) in p_values.iter().enumerate() {
-                let n_cal = icp.calibration_count(class) as f64;
+        for (rates, &epsilon) in mean_rate.iter().zip(&EPSILONS) {
+            for (class, &rate) in rates.iter().enumerate() {
+                let n_cal = CALIB_PER_CLASS as f64;
                 // Exact error target for continuous scores at this ε.
-                let target = (epsilon * (n_cal + 1.0)).floor() / (n_cal + 1.0);
-                let errors = values.iter().filter(|&&p| p <= epsilon).count() as f64;
-                let rate = errors / TEST_PER_CLASS as f64;
-                // 4.5σ band: false-failure odds are negligible across the
-                // whole seed × ε × class grid. σ² adds the Beta law's
-                // variance over calibration draws to the binomial noise of
-                // the test samples.
                 let k = (epsilon * (n_cal + 1.0)).floor();
+                let target = k / (n_cal + 1.0);
+                // 4.5σ band: false-failure odds are negligible across the
+                // whole seed × ε × class grid. One draw's rate varies with
+                // its calibration set (the Beta law) and its test samples
+                // (binomial); the mean over draws divides both by DRAWS.
                 let calib_var = k * (n_cal + 1.0 - k) / ((n_cal + 1.0).powi(2) * (n_cal + 2.0));
                 let test_var = target * (1.0 - target) / TEST_PER_CLASS as f64;
-                let sigma = (calib_var + test_var).sqrt();
+                let sigma = ((calib_var + test_var) / DRAWS as f64).sqrt();
                 let band = 4.5 * sigma + 1e-3;
                 assert!(
                     (rate - target).abs() <= band,
-                    "seed {seed} ε={epsilon} class {class}: empirical error {rate:.4} \
-                     deviates from exact target {target:.4} by more than {band:.4}"
+                    "seed {seed} ε={epsilon} class {class}: mean error {rate:.4} over {DRAWS} \
+                     calibration draws deviates from exact target {target:.4} by more than \
+                     {band:.4}"
                 );
             }
         }

@@ -668,6 +668,31 @@ impl NoodleDetector {
         self.evaluation.winner
     }
 
+    /// The labels that no prediction region of `strategy` can leave out at
+    /// the configured significance. A class-`c` p-value is at least
+    /// `1 / (n_c + 1)`, where `n_c` counts that class's calibration
+    /// designs (late fusion combines the graph and tabular floors). While
+    /// that floor exceeds ε, every region holds `c`, so a verdict that
+    /// needs `c` left out reads uncertain whatever the CNNs say. A single
+    /// ICP needs `n_c ≥ ⌈1/ε⌉ − 1` to clear it.
+    pub fn labels_never_excluded(&self, strategy: FusionStrategy) -> Vec<usize> {
+        let floor = |icp: &MondrianIcp, c: usize| 1.0 / (icp.calibration_count(c) as f64 + 1.0);
+        (0..2)
+            .filter(|&c| {
+                let p = match strategy {
+                    FusionStrategy::GraphOnly => floor(&self.icp_graph, c),
+                    FusionStrategy::TabularOnly => floor(&self.icp_tabular, c),
+                    FusionStrategy::EarlyFusion => floor(&self.icp_early, c),
+                    FusionStrategy::LateFusion => self
+                        .config
+                        .combiner
+                        .combine(&[floor(&self.icp_graph, c), floor(&self.icp_tabular, c)]),
+                };
+                p > self.config.significance
+            })
+            .collect()
+    }
+
     /// The configuration the detector was fitted with.
     pub fn config(&self) -> &NoodleConfig {
         &self.config
@@ -1457,6 +1482,33 @@ mod tests {
     }
 
     #[test]
+    fn labels_never_excluded_follow_the_p_value_floor() {
+        let mut det = fitted();
+        // 14 + 7 real designs leave 3 and 2 to calibrate: no p-value is
+        // below 1/4 or 1/3, so no region can leave a label out at ε = 0.1.
+        assert_eq!(det.icp_early.calibration_count(0), 3);
+        assert_eq!(det.icp_early.calibration_count(1), 2);
+        for strategy in FusionStrategy::ALL {
+            assert_eq!(det.labels_never_excluded(strategy), vec![0, 1], "{strategy:?}");
+        }
+        // Regions hold `p > ε`: a label leaves once ε reaches its floor.
+        for c in 0..2 {
+            let floor = |icp: &MondrianIcp| 1.0 / (icp.calibration_count(c) as f64 + 1.0);
+            let late =
+                det.config.combiner.combine(&[floor(&det.icp_graph), floor(&det.icp_tabular)]);
+            for (strategy, floor) in [
+                (FusionStrategy::EarlyFusion, floor(&det.icp_early)),
+                (FusionStrategy::LateFusion, late),
+            ] {
+                det.config.significance = floor;
+                assert!(!det.labels_never_excluded(strategy).contains(&c), "{strategy:?} {c}");
+                det.config.significance = floor - 1e-9;
+                assert!(det.labels_never_excluded(strategy).contains(&c), "{strategy:?} {c}");
+            }
+        }
+    }
+
+    #[test]
     fn detect_classifies_new_designs() {
         let mut det = fitted();
         let probe =
@@ -1571,7 +1623,7 @@ mod tests {
             }
         }
 
-        // The paper's protocol is today's amplify-then-split, unchanged.
+        // The paper's protocol is amplify-then-split, unchanged.
         let paper = NoodleConfig { amplified_calibration: true, ..config };
         let (working, split) =
             prepare(&dataset, &[], &paper, 7, &mut StdRng::seed_from_u64(3)).unwrap();
@@ -1582,6 +1634,33 @@ mod tests {
             &mut StdRng::seed_from_u64(3),
         );
         assert_eq!(split, amplified.split(paper.train_frac, paper.calib_frac, 7));
+        assert_eq!(working, amplified);
+
+        // With held-out real test designs it amplifies the rest, splits that
+        // `train : calib` into train and calibration (the inner test remnant
+        // joins calibration), and appends the held-out designs as the test.
+        let held_out = [0, 5, 15, 20];
+        let (working, split) =
+            prepare(&dataset, &held_out, &paper, 7, &mut StdRng::seed_from_u64(3)).unwrap();
+        let pool: Vec<usize> = (0..dataset.len()).filter(|i| !held_out.contains(i)).collect();
+        let mut amplified = amplify_dataset(
+            &dataset.subset(&pool),
+            paper.amplify_per_class,
+            &paper.gan,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let inner_frac = paper.train_frac / (paper.train_frac + paper.calib_frac);
+        let inner = amplified.split(inner_frac - 1e-9, (1.0 - inner_frac) / 2.0, 7 ^ 0xA5A5);
+        let offset = amplified.len();
+        for &i in &held_out {
+            amplified.push(dataset.samples()[i].clone());
+        }
+        let expected = Split {
+            train: inner.train,
+            calibration: inner.calibration.into_iter().chain(inner.test).collect(),
+            test: (offset..amplified.len()).collect(),
+        };
+        assert_eq!(split, expected);
         assert_eq!(working, amplified);
     }
 

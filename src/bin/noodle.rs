@@ -4,6 +4,7 @@
 //! ```text
 //! noodle gen-corpus <dir> [--tf 28] [--ti 12] [--seed N]   write a synthetic corpus as .v files
 //! noodle train <model.json> [--corpus-seed N] [--fast]     fit on a generated corpus and save
+//!               [--tf N] [--ti N]                          (corpus size, default 28 / 12)
 //! noodle detect <model.json> <file.v>... [--audit <log>]   classify Verilog files
 //!               [--batch N] [--cache-dir <dir>]            (batched engine + feature cache)
 //!               [--audit-rotate-bytes N] [--audit-keep K]  (size-rotated audit segments)
@@ -111,7 +112,7 @@ fn print_usage() {
         "noodle — uncertainty-aware hardware Trojan detection\n\n\
          USAGE:\n  \
          noodle gen-corpus <dir> [--tf N] [--ti N] [--seed N]\n  \
-         noodle train <model.json> [--corpus-seed N] [--fast]\n  \
+         noodle train <model.json> [--corpus-seed N] [--tf N] [--ti N] [--fast]\n  \
          noodle detect <model.json> <file.v>... [--audit <log.jsonl>]\n         \
          [--batch N] [--cache-dir <dir>] [--quantize]\n         \
          [--audit-rotate-bytes N] [--audit-keep K]\n  \
@@ -630,14 +631,21 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     let (positional, flags) = parse_flags(args)?;
     let observability = Observability::from_flags(&flags)?;
     let [model_path] = positional.as_slice() else {
-        return Err(CliError::msg("usage: noodle train <model.json> [--corpus-seed N] [--fast]"));
+        return Err(CliError::msg(
+            "usage: noodle train <model.json> [--corpus-seed N] [--tf N] [--ti N] [--fast]",
+        ));
     };
     let corpus_seed = parse_num(&flags, "corpus-seed", CorpusConfig::default().seed)?;
     let fast = flag_value(&flags, "fast").is_some();
     let train_seed: u64 = parse_num(&flags, "seed", 42)?;
 
     let root = telemetry::span!("train", corpus_seed = corpus_seed, fast = fast);
-    let corpus = generate_corpus(&CorpusConfig { seed: corpus_seed, ..CorpusConfig::default() });
+    let defaults = CorpusConfig::default();
+    let corpus = generate_corpus(&CorpusConfig {
+        trojan_free: parse_num(&flags, "tf", defaults.trojan_free)?,
+        trojan_infected: parse_num(&flags, "ti", defaults.trojan_infected)?,
+        seed: corpus_seed,
+    });
     let corpus_summary = emit_corpus_stats(&corpus_stats(&corpus));
     let dataset = MultimodalDataset::from_benchmarks(&corpus)
         .map_err(CliError::pipeline("corpus designs failed modality extraction"))?;
@@ -658,6 +666,16 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     }
     if !observability.quiet {
         eprintln!("winner: {:?}", detector.winner());
+        let stuck = detector.labels_never_excluded(detector.winner());
+        if !stuck.is_empty() {
+            eprintln!(
+                "warning: too few real calibration designs for {:?} regions to leave out \
+                 label(s) {stuck:?} at significance {}; every verdict that needs them left \
+                 out reads uncertain. Train on more designs (--tf, --ti).",
+                detector.winner(),
+                config.significance
+            );
+        }
     }
     let evaluation = EvaluationSummary { winner: format!("{:?}", detector.winner()), brier };
     let json =

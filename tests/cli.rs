@@ -653,3 +653,30 @@ fn cli_rejects_a_model_whose_tensors_disagree_with_their_shapes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `noodle train` warns when its corpus leaves too few real calibration
+/// designs for the winner's regions to leave a label out, and `--tf`/`--ti`
+/// grow the corpus until they can.
+#[test]
+fn cli_train_warns_when_regions_can_never_leave_a_label_out() {
+    let dir = std::env::temp_dir().join(format!("noodle_cli_calib_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.json");
+    let train = |extra: &[&str]| {
+        let out = noodle()
+            .args(["train", model.to_str().unwrap(), "--fast", "--corpus-seed", "5"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    // The default 28 / 12 corpus calibrates on 6 and 3 real designs.
+    let small = train(&[]);
+    assert!(small.contains("warning: too few real calibration designs"), "{small}");
+    // 40 / 40 calibrates on 9 of each: enough at ε = 0.1.
+    let large = train(&["--tf", "40", "--ti", "40"]);
+    assert!(!large.contains("warning"), "{large}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -64,3 +64,67 @@ fn uncertain_rate_plus_singletons_plus_empties_is_one() {
     let total = stats.singleton_rate + stats.empty_rate + stats.uncertain_rate;
     assert!((total - 1.0).abs() < 1e-9, "rates sum to {total}");
 }
+
+/// The Mondrian guarantee for served verdicts: per class, regions from
+/// `detect` must miss the true label of fresh real designs at most at rate
+/// ε, averaged over calibration draws. Each seed draws a corpus, fits with
+/// the default real-design calibration and screens a fresh draw from the
+/// same generator. At 40 designs per class, 9 of each calibrate, so a
+/// region can leave either label out at ε = 0.1 and the test can fail.
+#[test]
+fn served_regions_cover_held_out_real_designs_per_class_across_seeds() {
+    const SEEDS: u64 = 20;
+    const PROBES_PER_CLASS: usize = 20;
+    const CALIB_PER_CLASS: f64 = 9.0;
+    let config = NoodleConfig::fast();
+    let mut errors = [0usize; 2];
+    let mut probes = [0usize; 2];
+    for seed in 0..SEEDS {
+        let corpus = generate_corpus(&CorpusConfig {
+            trojan_free: 40,
+            trojan_infected: 40,
+            seed: 100 + seed,
+        });
+        let dataset = MultimodalDataset::from_benchmarks(&corpus).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut detector = NoodleDetector::fit(&dataset, &config, &mut rng).unwrap();
+        let baseline = detector.baseline().unwrap();
+        assert_eq!(baseline.calibration_count as f64, 2.0 * CALIB_PER_CLASS);
+        assert_eq!(baseline.class_balance, 0.5);
+        let stuck = detector.labels_never_excluded(detector.winner());
+        assert!(stuck.is_empty(), "seed {seed}: regions can never leave out {stuck:?}");
+
+        let probe = generate_corpus(&CorpusConfig {
+            trojan_free: PROBES_PER_CLASS,
+            trojan_infected: PROBES_PER_CLASS,
+            seed: 1000 + seed,
+        });
+        for bench in &probe {
+            let class = bench.label.index();
+            probes[class] += 1;
+            if !detector.detect(&bench.source).unwrap().region.contains(&class) {
+                errors[class] += 1;
+            }
+        }
+    }
+
+    // For continuous scores the expected miscoverage is k / (n + 1) with
+    // k = ⌊ε(n + 1)⌋. One seed's rate varies with its calibration draw,
+    // Beta(k, n + 1 − k) (Vovk 2012), and with its probes; the mean over
+    // seeds gets a 4σ band above the target.
+    let n = CALIB_PER_CLASS;
+    let k = (config.significance * (n + 1.0)).floor();
+    let target = k / (n + 1.0);
+    let calib_var = k * (n + 1.0 - k) / ((n + 1.0).powi(2) * (n + 2.0));
+    let probe_var = target * (1.0 - target) / PROBES_PER_CLASS as f64;
+    let sigma = ((calib_var + probe_var) / SEEDS as f64).sqrt();
+    for class in 0..2 {
+        let rate = errors[class] as f64 / probes[class] as f64;
+        assert!(
+            rate <= target + 4.0 * sigma,
+            "class {class}: miscoverage {rate:.3} over {} designs breaches {target:.3} + 4σ ({:.3})",
+            probes[class],
+            target + 4.0 * sigma
+        );
+    }
+}
