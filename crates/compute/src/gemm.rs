@@ -18,7 +18,7 @@
 
 use std::sync::OnceLock;
 
-use noodle_profile::{EventKind, KernelTimer};
+use noodle_trace::{EventKind, KernelTimer};
 
 use crate::pool::{add_flops, par_for};
 use crate::simd;

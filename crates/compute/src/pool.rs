@@ -263,7 +263,7 @@ fn worker_loop() {
             }
         };
         if let Some(task) = task {
-            let start_ns = noodle_profile::now_ns();
+            let start_ns = noodle_trace::now_ns();
             // Adopt the submitter's trace context for the chunks *and* the
             // profiler events below, so kernel and pool-job events recorded
             // on this worker join the submitting request's trace.
@@ -272,26 +272,24 @@ fn worker_loop() {
             let ran = task.work();
             REGION_DEPTH.with(|d| d.set(d.get() - 1));
             if ran > 0 {
-                let busy = noodle_profile::now_ns().saturating_sub(start_ns);
+                let busy = noodle_trace::now_ns().saturating_sub(start_ns);
                 let wait = start_ns.saturating_sub(task.submit_ns);
                 BUSY_NS.fetch_add(busy, Ordering::Relaxed);
                 QUEUE_WAIT_NS.fetch_add(wait, Ordering::Relaxed);
-                if noodle_profile::enabled() {
-                    noodle_profile::record(
-                        noodle_profile::EventKind::QueueWait,
-                        task.submit_ns,
-                        wait,
-                        0,
-                        0,
-                    );
-                    noodle_profile::record(
-                        noodle_profile::EventKind::PoolJob,
-                        start_ns,
-                        busy,
-                        ran as u64,
-                        0,
-                    );
-                }
+                noodle_trace::record(
+                    noodle_trace::EventKind::QueueWait,
+                    task.submit_ns,
+                    wait,
+                    0,
+                    0,
+                );
+                noodle_trace::record(
+                    noodle_trace::EventKind::PoolJob,
+                    start_ns,
+                    busy,
+                    ran as u64,
+                    0,
+                );
             }
             noodle_trace::swap_current(prev_trace);
         }
@@ -324,7 +322,7 @@ where
     if threads <= 1 || chunks == 1 || nested {
         // Nested regions run inside an already-timed outer chunk body, so
         // timing them again would double-count busy time.
-        let start_ns = if nested { 0 } else { noodle_profile::now_ns() };
+        let start_ns = if nested { 0 } else { noodle_trace::now_ns() };
         let mut lo = 0;
         while lo < len {
             let hi = len.min(lo + grain);
@@ -332,17 +330,15 @@ where
             lo = hi;
         }
         if !nested {
-            let busy = noodle_profile::now_ns().saturating_sub(start_ns);
+            let busy = noodle_trace::now_ns().saturating_sub(start_ns);
             BUSY_NS.fetch_add(busy, Ordering::Relaxed);
-            if noodle_profile::enabled() {
-                noodle_profile::record(
-                    noodle_profile::EventKind::PoolJob,
-                    start_ns,
-                    busy,
-                    chunks as u64,
-                    0,
-                );
-            }
+            noodle_trace::record(
+                noodle_trace::EventKind::PoolJob,
+                start_ns,
+                busy,
+                chunks as u64,
+                0,
+            );
         }
         return;
     }
@@ -361,7 +357,7 @@ where
         len,
         grain,
         chunks,
-        submit_ns: noodle_profile::now_ns(),
+        submit_ns: noodle_trace::now_ns(),
         trace: noodle_trace::current(),
         next: AtomicUsize::new(0),
         remaining: Mutex::new(chunks),
@@ -379,22 +375,14 @@ where
 
     // Participate, then wait for stragglers. The submitter never queues,
     // so it records busy time but no queue wait.
-    let start_ns = noodle_profile::now_ns();
+    let start_ns = noodle_trace::now_ns();
     REGION_DEPTH.with(|d| d.set(d.get() + 1));
     let ran = task.work();
     REGION_DEPTH.with(|d| d.set(d.get() - 1));
     if ran > 0 {
-        let busy = noodle_profile::now_ns().saturating_sub(start_ns);
+        let busy = noodle_trace::now_ns().saturating_sub(start_ns);
         BUSY_NS.fetch_add(busy, Ordering::Relaxed);
-        if noodle_profile::enabled() {
-            noodle_profile::record(
-                noodle_profile::EventKind::PoolJob,
-                start_ns,
-                busy,
-                ran as u64,
-                0,
-            );
-        }
+        noodle_trace::record(noodle_trace::EventKind::PoolJob, start_ns, busy, ran as u64, 0);
     }
     {
         let mut remaining = task.remaining.lock().unwrap_or_else(|e| e.into_inner());

@@ -21,6 +21,7 @@ use noodle_observe::{
     emit_if, AuditHeader, AuditSink, CalibrationBaseline, PredictionRecord, ScoreBaseline,
     ServeInfo, SourceProbe, AUDIT_SCHEMA_VERSION,
 };
+use noodle_telemetry::trace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt, SeedableRng};
@@ -244,7 +245,7 @@ pub struct DetectRequest<'a> {
     /// admission-time id; `None` (the CLI/batch default) derives a
     /// deterministic per-index context from the call's base context, which
     /// preserves the bit-identical batching contract.
-    pub trace: Option<noodle_trace::TraceContext>,
+    pub trace: Option<trace::TraceContext>,
 }
 
 /// Latency attribution carried into one audit record: the per-file share
@@ -271,7 +272,7 @@ struct Request<'a> {
     design: &'a str,
     input: Input<'a>,
     label: Option<usize>,
-    trace: Option<noodle_trace::TraceContext>,
+    trace: Option<trace::TraceContext>,
 }
 
 /// Stage 1's output for one request: both modality vectors, and which of
@@ -895,8 +896,8 @@ impl NoodleDetector {
         input: Input<'_>,
         label: Option<usize>,
     ) -> Result<Detection, PipelineError> {
-        let ctx = noodle_trace::current().unwrap_or_else(noodle_trace::TraceContext::mint);
-        let _trace = noodle_trace::set_current(ctx);
+        let ctx = trace::current().unwrap_or_else(trace::TraceContext::mint);
+        let _trace = trace::set_current(ctx);
         let request = Request { design, input, label, trace: Some(ctx) };
         let strategy = self.evaluation.winner;
         self.pipeline(&[request], strategy, 1, None).pop().expect("one result per request")
@@ -970,9 +971,9 @@ impl NoodleDetector {
         // context, so extraction (on pool threads) and inference and audit
         // (on this thread) stamp the same per-design id at every thread
         // count and batch size.
-        let base = noodle_trace::current().unwrap_or_else(noodle_trace::TraceContext::mint);
+        let base = trace::current().unwrap_or_else(trace::TraceContext::mint);
         let request_ctx = |i: usize| requests[i].trace.unwrap_or_else(|| base.derived(i as u64));
-        let _trace = noodle_trace::set_current(base);
+        let _trace = trace::set_current(base);
         let _span = noodle_telemetry::span!("detect.batch", files = n, batch = batch_size);
         let started = Instant::now();
 
@@ -998,7 +999,7 @@ impl NoodleDetector {
             .collect();
         let extracted = noodle_compute::par_map_collect(misses.len(), 1, |j| {
             let (i, source) = misses[j];
-            let _trace = noodle_trace::set_current(request_ctx(i));
+            let _trace = trace::set_current(request_ctx(i));
             extract_modalities(source)
         });
         for (&(i, source), result) in misses.iter().zip(extracted) {
@@ -1036,17 +1037,17 @@ impl NoodleDetector {
             let mut probes: Option<Vec<Vec<SourceProbe>>> =
                 self.audit.is_some().then(|| vec![Vec::new(); m]);
             let batch_start = Instant::now();
-            let prof_start_ns = noodle_profile::now_ns();
+            let prof_start_ns = trace::now_ns();
             // The shared forward pass is attributed to the chunk's first
             // design (a micro-batch has no single owner; first-in-chunk is
             // deterministic and cheap to compute when reading a trace).
-            let chunk_trace = noodle_trace::set_current(request_ctx(chunk[0]));
+            let chunk_trace = trace::set_current(request_ctx(chunk[0]));
             let predictions =
                 self.conformal_batch(&graphs, &tab_raw, strategy, probes.as_mut(), &mut arena);
-            noodle_profile::record(
-                noodle_profile::EventKind::BatchInfer,
+            trace::record(
+                trace::EventKind::BatchInfer,
                 prof_start_ns,
-                noodle_profile::now_ns().saturating_sub(prof_start_ns),
+                trace::now_ns().saturating_sub(prof_start_ns),
                 0,
                 (4 * (graphs.len() + tab_raw.len())) as u64,
             );
@@ -1066,9 +1067,10 @@ impl NoodleDetector {
         }
 
         // Stage 3: per request, in request order, the decision, its audit
-        // record, a per-design marker on the profiler timeline (its batch
-        // share of the forward) and a flight-recorder summary, so one trace
-        // id greps across audit, Chrome trace and ring.
+        // record and one `Request` ring event (design, verdict, and its
+        // batch share of the forward as an interval): the flight view shows
+        // it as the request summary and the profile as a `detect.request`
+        // span, so one trace id greps across audit, Chrome trace and ring.
         let mut scored = scored.into_iter();
         let results = features
             .into_iter()
@@ -1079,21 +1081,18 @@ impl NoodleDetector {
                     scored.next().expect("stage 2 scores every request stage 1 succeeded on");
                 let r = &requests[i];
                 let request = request_ctx(i);
-                let _req_trace = noodle_trace::set_current(request);
+                let _req_trace = trace::set_current(request);
                 noodle_telemetry::counter_add("detect.calls", 1);
                 noodle_telemetry::histogram_record("detect.latency_us", timing.latency_us);
                 let imputed = !(features.graph_present && features.tabular_present);
                 let detection = self.decision(prediction, strategy, imputed);
                 self.emit_audit(r.design, r.label, &detection, &features, probes, timing);
                 let dur_ns = (timing.latency_us * 1e3) as u64;
-                noodle_profile::record_span("detect.request", prof_start_ns, dur_ns);
-                noodle_trace::flight_record(
-                    noodle_trace::FlightKind::Request,
-                    request.trace_id,
-                    request.span_id,
-                    i as u64,
-                    u64::from(detection.infected),
-                    r.design,
+                trace::push(
+                    &trace::Event::new(trace::EventKind::Request, r.design)
+                        .ids(request.trace_id, request.span_id)
+                        .at(prof_start_ns, dur_ns)
+                        .payload(i as u64, u64::from(detection.infected)),
                 );
                 Ok(detection)
             })
@@ -1249,8 +1248,8 @@ impl NoodleDetector {
         let record = PredictionRecord {
             seq,
             design: design.to_string(),
-            trace_id: noodle_trace::current()
-                .map_or_else(String::new, |c| noodle_trace::format_trace_id(c.trace_id)),
+            trace_id: trace::current()
+                .map_or_else(String::new, |c| trace::format_trace_id(c.trace_id)),
             strategy: format!("{:?}", detection.strategy),
             infected: detection.infected,
             probability_infected: detection.probability_infected,

@@ -6,14 +6,24 @@
 //! Every client half-closes its write side after sending, so the server
 //! sees EOF immediately instead of waiting out its read timeout — the
 //! property runs hundreds of cases in a few seconds.
+//!
+//! Each property runs on [`CASES`] cases through the seeded runner in the
+//! workspace's `tests/support/cases.rs`; a failure names the case's seed.
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
+use cases::check;
 use noodle_export::ExportServer;
 use noodle_observe::{MonitorConfig, StreamingMonitors};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+const CASES: u64 = 256;
 
 /// Sends raw bytes as one "request", half-closes, and returns whatever
 /// the server answered (empty on a clean close with no response).
@@ -61,29 +71,41 @@ fn assert_still_serving(addr: std::net::SocketAddr) {
     assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "server wedged after malformed input: {text}");
 }
 
-proptest! {
-    /// Arbitrary bytes — including NULs, invalid UTF-8 and embedded
-    /// newlines — never panic the server or elicit a malformed response.
-    #[test]
-    fn arbitrary_bytes_never_break_the_server(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let server = shared_server();
+/// `len` characters drawn uniformly from `alphabet`.
+fn draw(rng: &mut StdRng, alphabet: &[u8], len: usize) -> String {
+    (0..len).map(|_| char::from(alphabet[rng.random_range(0..alphabet.len())])).collect()
+}
+
+/// Arbitrary bytes — including NULs, invalid UTF-8 and embedded
+/// newlines — never panic the server or elicit a malformed response.
+#[test]
+fn arbitrary_bytes_never_break_the_server() {
+    let server = shared_server();
+    check(CASES, |rng| {
+        let len = rng.random_range(0..2048);
+        let payload: Vec<u8> = (0..len).map(|_| rng.random()).collect();
         let response = exchange(server.addr(), &payload);
         assert_well_formed(&payload, &response);
-    }
+    });
+}
 
-    /// Structured-but-wrong requests: random method-ish and path-ish
-    /// tokens with assorted line endings still yield 4xx or a valid route.
-    #[test]
-    fn bogus_methods_and_paths_get_clean_answers(
-        method in "[A-Za-z]{1,12}",
-        path in "/[ -~]{0,64}",
-        terminator in prop_oneof![Just("\r\n\r\n"), Just("\n\n"), Just("\r\n"), Just("")],
-    ) {
-        let server = shared_server();
+/// Structured-but-wrong requests: random method-ish and path-ish
+/// tokens with assorted line endings still yield 4xx or a valid route.
+#[test]
+fn bogus_methods_and_paths_get_clean_answers() {
+    let letters: Vec<u8> = (b'A'..=b'Z').chain(b'a'..=b'z').collect();
+    let printable: Vec<u8> = (b' '..=b'~').collect();
+    let server = shared_server();
+    check(CASES, |rng| {
+        let method_len = rng.random_range(1..=12);
+        let method = draw(rng, &letters, method_len);
+        let path_len = rng.random_range(0..=64);
+        let path = format!("/{}", draw(rng, &printable, path_len));
+        let terminator = ["\r\n\r\n", "\n\n", "\r\n", ""][rng.random_range(0..4)];
         let payload = format!("{method} {path} HTTP/1.1{terminator}");
         let response = exchange(server.addr(), payload.as_bytes());
         assert_well_formed(payload.as_bytes(), &response);
-    }
+    });
 }
 
 /// The deterministic rogues' gallery from the issue: oversized request
@@ -142,7 +164,7 @@ fn immediate_disconnects_are_harmless() {
     assert_still_serving(server.addr());
 }
 
-/// One server shared by every test and proptest case: abuse accumulates
+/// One server shared by every test and property case: abuse accumulates
 /// on a single accept loop, which is exactly the production shape.
 fn shared_server() -> &'static ExportServer {
     use std::sync::OnceLock;

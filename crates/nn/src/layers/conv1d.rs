@@ -4,7 +4,7 @@
 //! [`crate::lowering`]) exactly like [`super::Conv2d`].
 
 use noodle_compute::{gemm, gemm_at, gemm_bt, par_chunks_mut, par_map_reduce};
-use noodle_profile::{EventKind, KernelTimer};
+use noodle_trace::{EventKind, KernelTimer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 

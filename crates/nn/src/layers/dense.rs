@@ -1,6 +1,6 @@
 //! Fully connected (affine) layer.
 
-use noodle_profile::{EventKind, KernelTimer};
+use noodle_trace::{EventKind, KernelTimer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 

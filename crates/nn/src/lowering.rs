@@ -16,7 +16,7 @@
 //! These functions are `pub` so the benchmark harness can measure the
 //! lowering in isolation; they are not part of the supported model API.
 
-use noodle_profile::{EventKind, KernelTimer};
+use noodle_trace::{EventKind, KernelTimer};
 
 /// Unrolls one `[cin, h, w]` sample into `cols = [cin * k * k, oh * ow]`
 /// for a stride-1 convolution with square kernel `k` and symmetric zero

@@ -30,7 +30,7 @@
 //! with a verdict-flip golden test).
 
 use noodle_compute::gemm_bt_i8;
-use noodle_profile::{EventKind, KernelTimer};
+use noodle_trace::{EventKind, KernelTimer};
 use serde::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
 
 use crate::infer::{ping_pong, InferArena};

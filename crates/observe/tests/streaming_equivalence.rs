@@ -3,74 +3,77 @@
 //! report exactly what [`replay`] reports at *every prefix* — not just the
 //! final state — and health transitions must fire exactly when consecutive
 //! prefix reports disagree.
+//!
+//! The property runs on [`CASES`] cases through the seeded runner in the
+//! workspace's `tests/support/cases.rs`; a failure names the case's seed.
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
 use std::collections::BTreeMap;
+
+use cases::check;
 
 use noodle_observe::{
     replay, AuditHeader, CalibrationBaseline, MonitorConfig, PredictionRecord, ScoreBaseline,
     SourceProbe, StreamingMonitors, AUDIT_SCHEMA_VERSION,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+const CASES: u64 = 48;
 
 /// A randomized but internally consistent prediction record: probability,
 /// p-values, region and label are all derived from the drawn scalars so
 /// streams look like plausible detector output rather than pure noise.
-fn arb_record(seq: u64) -> impl Strategy<Value = PredictionRecord> {
-    (
-        0.0f64..1.0,               // probability of the infected class
-        0.0f64..1.0,               // p-value of the winning class
-        0.0f64..0.5,               // p-value of the losing class
-        any::<bool>(),             // labeled?
-        any::<bool>(),             // label matches the prediction?
-        any::<bool>(),             // covered (true class inside the region)?
-        prop::bool::weighted(0.2), // modality imputed?
-        1.0f64..5000.0,            // latency in microseconds
-    )
-        .prop_map(move |(p1, p_win, p_lose, labeled, agree, covered, imputed, latency)| {
-            let infected = p1 >= 0.5;
-            let winner = usize::from(infected);
-            let label = labeled.then_some(if agree { winner } else { 1 - winner });
-            let mut p_values = [0.0; 2];
-            p_values[winner] = p_win;
-            p_values[1 - winner] = p_lose.min(p_win);
-            let region = match (label, covered) {
-                (Some(l), true) => vec![l],
-                (Some(l), false) => vec![1 - l],
-                (None, _) => vec![winner],
-            };
-            PredictionRecord {
-                seq,
-                design: format!("fuzz_{seq:04}"),
-                trace_id: String::new(),
-                strategy: "LateFusion".into(),
-                infected,
-                probability_infected: p1,
-                p_values,
-                region,
-                credibility: p_win,
-                confidence: 1.0 - p_lose.min(p_win),
-                uncertain: p_lose.min(p_win) > 0.1,
-                significance: 0.1,
-                graph_present: true,
-                tabular_present: !imputed,
-                imputed_modality: imputed,
-                label,
-                latency_us: latency,
-                batch_latency_us: latency,
-                batch_size: 1,
-                sources: vec![SourceProbe {
-                    source: "graph".into(),
-                    p_values,
-                    scores: [p1, 1.0 - p1],
-                }],
-            }
-        })
+fn arb_record(rng: &mut StdRng, seq: u64) -> PredictionRecord {
+    let p1 = rng.random_range(0.0f64..1.0); // probability of the infected class
+    let p_win = rng.random_range(0.0f64..1.0); // p-value of the winning class
+    let p_lose = rng.random_range(0.0f64..0.5); // p-value of the losing class
+    let labeled: bool = rng.random(); // labeled?
+    let agree: bool = rng.random(); // label matches the prediction?
+    let covered: bool = rng.random(); // covered (true class inside the region)?
+    let imputed = rng.random::<f64>() < 0.2; // modality imputed?
+    let latency = rng.random_range(1.0f64..5000.0); // latency in microseconds
+    let infected = p1 >= 0.5;
+    let winner = usize::from(infected);
+    let label = labeled.then_some(if agree { winner } else { 1 - winner });
+    let mut p_values = [0.0; 2];
+    p_values[winner] = p_win;
+    p_values[1 - winner] = p_lose.min(p_win);
+    let region = match (label, covered) {
+        (Some(l), true) => vec![l],
+        (Some(l), false) => vec![1 - l],
+        (None, _) => vec![winner],
+    };
+    PredictionRecord {
+        seq,
+        design: format!("fuzz_{seq:04}"),
+        trace_id: String::new(),
+        strategy: "LateFusion".into(),
+        infected,
+        probability_infected: p1,
+        p_values,
+        region,
+        credibility: p_win,
+        confidence: 1.0 - p_lose.min(p_win),
+        uncertain: p_lose.min(p_win) > 0.1,
+        significance: 0.1,
+        graph_present: true,
+        tabular_present: !imputed,
+        imputed_modality: imputed,
+        label,
+        latency_us: latency,
+        batch_latency_us: latency,
+        batch_size: 1,
+        sources: vec![SourceProbe { source: "graph".into(), p_values, scores: [p1, 1.0 - p1] }],
+    }
 }
 
-fn arb_stream() -> impl Strategy<Value = Vec<PredictionRecord>> {
-    prop::collection::vec(any::<u8>(), 0..120).prop_flat_map(|seeds| {
-        seeds.into_iter().enumerate().map(|(i, _)| arb_record(i as u64)).collect::<Vec<_>>()
-    })
+/// A stream of 0 to 119 records.
+fn arb_stream(rng: &mut StdRng) -> Vec<PredictionRecord> {
+    let len = rng.random_range(0..120u64);
+    (0..len).map(|i| arb_record(rng, i)).collect()
 }
 
 fn baseline_header() -> AuditHeader {
@@ -95,17 +98,14 @@ fn baseline_header() -> AuditHeader {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Streaming == batch at every prefix, with and without a calibration
-    /// baseline, and transitions fire exactly at prefix-report changes.
-    #[test]
-    fn streaming_equals_replay_at_every_prefix(
-        records in arb_stream(),
-        with_header in any::<bool>(),
-        window in prop::sample::select(vec![8usize, 64, 256]),
-    ) {
+/// Streaming == batch at every prefix, with and without a calibration
+/// baseline, and transitions fire exactly at prefix-report changes.
+#[test]
+fn streaming_equals_replay_at_every_prefix() {
+    check(CASES, |rng| {
+        let records = arb_stream(rng);
+        let with_header: bool = rng.random();
+        let window = [8usize, 64, 256][rng.random_range(0..3)];
         let config = MonitorConfig { window, min_samples: 5, ..MonitorConfig::default() };
         let header = baseline_header();
         let header_ref = with_header.then_some(&header);
@@ -117,13 +117,13 @@ proptest! {
 
         // Empty prefix: a valid zero-record report, identical to replay.
         let mut previous = replay(header_ref, &[], config.clone());
-        prop_assert_eq!(&stream.report(), &previous);
+        assert_eq!(&stream.report(), &previous);
 
         for (i, record) in records.iter().enumerate() {
             stream.observe(record);
             let prefix = replay(header_ref, &records[..=i], config.clone());
             let live = stream.report();
-            prop_assert_eq!(&live, &prefix, "prefix {} diverged", i + 1);
+            assert_eq!(&live, &prefix, "prefix {} diverged", i + 1);
 
             // Transitions are exactly the per-monitor health diffs between
             // consecutive prefix reports.
@@ -139,18 +139,18 @@ proptest! {
                     expected.insert(status.monitor.as_str(), (before, status.health));
                 }
             }
-            prop_assert_eq!(transitions.len(), expected.len(), "at prefix {}", i + 1);
+            assert_eq!(transitions.len(), expected.len(), "at prefix {}", i + 1);
             for t in &transitions {
-                prop_assert!(
+                assert!(
                     expected.contains_key(t.status.monitor.as_str()),
                     "unexpected transition for {}",
                     t.status.monitor
                 );
                 let (from, to) = expected[t.status.monitor.as_str()];
-                prop_assert_eq!(t.from, from);
-                prop_assert_eq!(t.status.health, to);
+                assert_eq!(t.from, from);
+                assert_eq!(t.status.health, to);
             }
             previous = prefix;
         }
-    }
+    });
 }

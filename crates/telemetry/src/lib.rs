@@ -1,15 +1,17 @@
 //! # noodle-telemetry
 //!
-//! A lightweight (`serde`/`serde_json` + `noodle-profile` only) tracing
+//! A lightweight (`serde`/`serde_json` + `noodle-trace` only) tracing
 //! and metrics layer for the NOODLE pipeline:
 //!
 //! * [`span!`] — hierarchical spans with wall-clock timing and key/value
-//!   attributes, streamed live to a pluggable [`Sink`] (stderr
-//!   pretty-printer, JSON lines, in-memory for tests);
+//!   attributes, recorded as events on the per-thread rings of
+//!   [`trace`] (`noodle-trace`) and streamed live to a pluggable [`Sink`]
+//!   (stderr pretty-printer, JSON lines, in-memory for tests);
 //! * [`counter_add`] / [`gauge_set`] / [`histogram_record`] — monotonic
 //!   counters, gauges and fixed-bucket histograms;
 //! * [`RunReport`] — a serde-serializable end-of-run summary (stage-timing
-//!   trees, metric snapshots, corpus stats, fusion winner).
+//!   trees rebuilt from the rings, metric snapshots, corpus stats, fusion
+//!   winner).
 //!
 //! Telemetry is **disabled by default** and every entry point is a no-op
 //! until [`set_enabled`]`(true)` — the `span!` macro does not even format
@@ -53,18 +55,26 @@ pub use report::{
 pub use sink::{JsonLines, MemorySink, NullSink, Sink, StderrPretty};
 pub use span::{format_duration_ns, start_span, SpanGuard, SpanRecord};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+/// The event path spans are recorded on, for crates that reach it
+/// through telemetry.
+pub use noodle_trace as trace;
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
 static SINK: OnceLock<Mutex<Box<dyn Sink>>> = OnceLock::new();
+/// Whether the installed sink keeps span records (anything but [`NullSink`]).
+static SINK_LIVE: AtomicBool = AtomicBool::new(false);
+/// [`trace::now_ns`] at the last [`reset`]: root spans that closed
+/// before it are left out of [`snapshot`].
+static RESET_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Everything the collector accumulates between [`reset`] calls.
+/// The metrics the collector accumulates between [`reset`] calls. Spans
+/// are not stored here: they live on the event rings.
 #[derive(Default)]
 pub(crate) struct Registry {
-    pub(crate) spans: Vec<SpanRecord>,
     pub(crate) counters: std::collections::BTreeMap<String, u64>,
     pub(crate) gauges: std::collections::BTreeMap<String, f64>,
     pub(crate) histograms: std::collections::BTreeMap<String, Histogram>,
@@ -80,28 +90,28 @@ pub fn enabled() -> bool {
 pub fn set_enabled(on: bool) {
     if on {
         // Pin the epoch before the first span so offsets stay positive.
-        let _ = epoch();
+        let _ = trace::epoch();
     }
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The common time origin for span `start_ns` offsets.
-///
-/// Delegates to the profiler's epoch so spans and profiler events from one
-/// run share a single timeline (a span at `start_ns = t` lines up with the
-/// kernel events it contains in the Chrome trace).
-pub(crate) fn epoch() -> Instant {
-    noodle_profile::epoch()
 }
 
 pub(crate) fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// Replaces the global sink. The default sink is [`NullSink`].
+/// Replaces the global sink. The default sink is [`NullSink`]; while it
+/// is installed, span closes neither rebuild records nor touch the sink.
 pub fn set_sink(sink: Box<dyn Sink>) {
     let slot = SINK.get_or_init(|| Mutex::new(Box::new(NullSink)));
-    *slot.lock().expect("telemetry sink poisoned") = sink;
+    let mut installed = slot.lock().expect("telemetry sink poisoned");
+    SINK_LIVE.store(!sink.discards(), Ordering::Relaxed);
+    *installed = sink;
+}
+
+/// Whether closed spans must be rebuilt and handed to the sink.
+#[inline]
+pub(crate) fn sink_live() -> bool {
+    SINK_LIVE.load(Ordering::Relaxed)
 }
 
 pub(crate) fn with_sink(f: impl FnOnce(&mut dyn Sink)) {
@@ -129,46 +139,64 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     }
 }
 
-/// A point-in-time copy of every finished root span and metric.
+/// A point-in-time copy of every metric and of the root spans that
+/// closed since the last [`reset`], each with its stage tree.
+///
+/// The trees are rebuilt from every thread's event ring, so they hold
+/// what the rings still retain: at most one ring's capacity of events per
+/// thread. Roots come in completion order.
 pub fn snapshot() -> TelemetrySnapshot {
-    let reg = registry().lock().expect("telemetry registry poisoned");
-    TelemetrySnapshot {
-        spans: reg.spans.clone(),
-        counters: reg.counters.clone(),
-        gauges: reg.gauges.clone(),
-        histograms: reg.histograms.clone(),
-    }
+    let (counters, gauges, histograms) = {
+        let reg = registry().lock().expect("telemetry registry poisoned");
+        (reg.counters.clone(), reg.gauges.clone(), reg.histograms.clone())
+    };
+    TelemetrySnapshot { spans: stage_trees(), counters, gauges, histograms }
 }
 
-/// Clears all collected spans and metrics (the enabled flag and sink are
-/// untouched).
+/// Root spans rebuilt from the rings, closed after the last [`reset`].
+fn stage_trees() -> Vec<SpanRecord> {
+    let since = RESET_NS.load(Ordering::Relaxed);
+    let mut roots: Vec<SpanRecord> = trace::rings()
+        .iter()
+        .flat_map(|ring| {
+            let mut trees = span::SpanTrees::default();
+            for (_, event) in &ring.events {
+                trees.feed(event);
+            }
+            trees.roots
+        })
+        .filter(|root| root.start_ns + root.duration_ns > since)
+        .collect();
+    roots.sort_by_key(|root| root.start_ns + root.duration_ns);
+    roots
+}
+
+/// Clears all collected metrics and hides every span closed so far from
+/// [`snapshot`] (the enabled flag and sink are untouched).
 pub fn reset() {
     let mut reg = registry().lock().expect("telemetry registry poisoned");
     *reg = Registry::default();
+    RESET_NS.store(trace::now_ns(), Ordering::Relaxed);
 }
 
 /// Opens a timed span for the enclosing scope, optionally with key/value
 /// attributes: `span!("gan.amplify", class = "TI")`.
 ///
 /// Binds to a [`SpanGuard`]; the span closes (and is recorded) when the
-/// guard drops. When telemetry is disabled the attribute expressions are
-/// not evaluated and nothing allocates.
+/// guard drops. Each attribute value is formatted with `Display` straight
+/// into its ring event. When telemetry is disabled the attribute
+/// expressions are not evaluated; either way nothing allocates once the
+/// thread's ring exists.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(,)?) => {
-        $crate::start_span($name, ::std::vec::Vec::new())
+        $crate::start_span($name)
     };
     ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
         if $crate::enabled() {
-            $crate::start_span(
-                $name,
-                ::std::vec![$(
-                    (
-                        ::std::string::String::from(::core::stringify!($key)),
-                        ::std::string::ToString::to_string(&$value),
-                    )
-                ),+],
-            )
+            let guard = $crate::start_span($name);
+            $( guard.attr(::core::stringify!($key), &$value); )+
+            guard
         } else {
             $crate::SpanGuard::disabled()
         }

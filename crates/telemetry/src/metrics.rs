@@ -7,7 +7,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::{enabled, registry};
 
-/// Exact quantiles of a histogram's retained observations.
+/// Observations a [`Histogram`] retains for its quantiles: the newest
+/// 65,536. Bucket counts, `count`, `sum`, extrema and exemplars stay
+/// cumulative; only the raw values roll over, so a long-running daemon's
+/// histograms stay bounded.
+pub const QUANTILE_WINDOW: usize = 1 << 16;
+
+/// Nearest-rank quantiles of a histogram's retained observations (the
+/// newest [`QUANTILE_WINDOW`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Quantiles {
     /// Median (50th percentile).
@@ -31,8 +38,8 @@ pub struct Exemplar {
 }
 
 /// A point-in-time summary of one histogram: everything a scrape or report
-/// needs (bucket counts, totals, extrema, exact quantiles) without the raw
-/// observation vector.
+/// needs (bucket counts, totals, extrema, window quantiles) without the
+/// raw observation vector.
 ///
 /// Produced by [`Histogram::snapshot`], which sorts the retained
 /// observations **once** to derive all three quantiles — unlike calling
@@ -53,7 +60,8 @@ pub struct HistogramSnapshot {
     pub min: Option<f64>,
     /// Largest observation, if any.
     pub max: Option<f64>,
-    /// Exact p50/p95/p99, when at least one observation was retained.
+    /// p50/p95/p99 over the retained window, when at least one
+    /// observation was retained.
     pub quantiles: Option<Quantiles>,
     /// Per-bucket trace-id exemplars (empty when no traced observation
     /// was ever recorded; absent in snapshots written before exemplars).
@@ -80,10 +88,9 @@ impl HistogramSnapshot {
 ///
 /// Bucket `i` counts values `v` with `v <= bounds[i]` (and
 /// `v > bounds[i - 1]` for `i > 0`); the final bucket counts values above
-/// every bound. Bounds are sorted ascending at construction. Raw
-/// observations are additionally retained for exact quantile queries —
-/// run-scoped metric volumes are small enough that exactness beats a
-/// sketch.
+/// every bound. Bounds are sorted ascending at construction. The newest
+/// [`QUANTILE_WINDOW`] raw observations are additionally retained for
+/// exact quantiles over that window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Inclusive upper bounds of the finite buckets, ascending.
@@ -98,8 +105,10 @@ pub struct Histogram {
     pub min: Option<f64>,
     /// Largest observation, if any.
     pub max: Option<f64>,
-    /// Raw finite observations in arrival order (absent in reports written
-    /// before quantile support).
+    /// The newest [`QUANTILE_WINDOW`] finite observations (absent in
+    /// reports written before quantile support). In arrival order until
+    /// the window fills; after that a ring whose oldest entry sits at
+    /// index `count % QUANTILE_WINDOW`.
     #[serde(default)]
     pub values: Vec<f64>,
     /// Per-bucket trace-id exemplars: the most recent traced observation
@@ -153,7 +162,12 @@ impl Histogram {
         self.sum += value;
         self.min = Some(self.min.map_or(value, |m| m.min(value)));
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
-        self.values.push(value);
+        if self.values.len() < QUANTILE_WINDOW {
+            self.values.push(value);
+        } else {
+            // The ring's oldest entry sits at `count % window`.
+            self.values[((self.count - 1) % QUANTILE_WINDOW as u64) as usize] = value;
+        }
         if let Some(ctx) = noodle_trace::current() {
             // Keep the latest traced observation per bucket as its
             // exemplar. The vector stays empty until the first traced
@@ -165,13 +179,23 @@ impl Histogram {
         }
     }
 
+    /// The retained observations, oldest first.
+    fn window(&self) -> impl Iterator<Item = f64> + '_ {
+        let split = if self.values.len() < QUANTILE_WINDOW {
+            0
+        } else {
+            (self.count % QUANTILE_WINDOW as u64) as usize
+        };
+        self.values[split..].iter().chain(&self.values[..split]).copied()
+    }
+
     /// Mean of the observations, or `None` before the first one.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Exact nearest-rank quantile of the retained observations:
-    /// the `ceil(q·n)`-th smallest value.
+    /// Nearest-rank quantile of the retained observations (the newest
+    /// [`QUANTILE_WINDOW`]): the `ceil(q·n)`-th smallest value.
     ///
     /// Returns `None` when empty or `q` is outside `(0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
@@ -179,7 +203,7 @@ impl Histogram {
             return None;
         }
         let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.sort_unstable_by(f64::total_cmp);
         let rank = (q * sorted.len() as f64).ceil() as usize;
         Some(sorted[rank.clamp(1, sorted.len()) - 1])
     }
@@ -195,7 +219,7 @@ impl Histogram {
             return None;
         }
         let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.sort_unstable_by(f64::total_cmp);
         let at = |q: f64| {
             let rank = (q * sorted.len() as f64).ceil() as usize;
             sorted[rank.clamp(1, sorted.len()) - 1]
@@ -221,16 +245,20 @@ impl Histogram {
     }
 
     /// Folds `other` into `self`: bucket counts add elementwise, totals
-    /// and extrema combine, and the retained observations concatenate —
-    /// so quantiles of the merged histogram equal quantiles of recording
-    /// every observation into one histogram. Used to fold per-thread
-    /// kernel histograms into the global registry.
+    /// and extrema combine, and the retained observations concatenate
+    /// (`other`'s counted as the newer) and keep the newest
+    /// [`QUANTILE_WINDOW`] — so while both fit, quantiles of the merged
+    /// histogram equal quantiles of recording every observation into one
+    /// histogram. Used to fold per-thread kernel histograms into the
+    /// global registry.
     ///
     /// # Panics
     ///
     /// Panics if the two histograms have different bucket bounds.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bounds, other.bounds, "Histogram::merge requires identical bucket bounds");
+        let mut values: Vec<f64> = self.window().chain(other.window()).collect();
+        values.drain(..values.len().saturating_sub(QUANTILE_WINDOW));
         for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
             *dst += src;
         }
@@ -244,7 +272,10 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        self.values.extend_from_slice(&other.values);
+        if values.len() == QUANTILE_WINDOW {
+            values.rotate_right((self.count % QUANTILE_WINDOW as u64) as usize);
+        }
+        self.values = values;
         if other.exemplars.iter().any(Option::is_some) {
             if self.exemplars.len() != self.counts.len() {
                 self.exemplars.resize(self.counts.len(), None);
@@ -478,6 +509,41 @@ mod tests {
         assert_eq!(merged.max, reference.max);
         let (m, r) = (merged.quantiles().unwrap(), reference.quantiles().unwrap());
         assert_eq!((m.p50, m.p95, m.p99), (r.p50, r.p95, r.p99));
+    }
+
+    #[test]
+    fn quantiles_cover_the_newest_window_and_counts_stay_cumulative() {
+        const N: u64 = 200_000;
+        let value = |i: u64| ((i * 7_919) % N) as f64;
+        let mut h = Histogram::new(&Histogram::default_bounds());
+        for i in 0..N {
+            h.record(value(i));
+        }
+        assert_eq!(h.count, N);
+        assert_eq!(h.counts.iter().sum::<u64>(), N);
+        assert_eq!(h.values.len(), QUANTILE_WINDOW);
+        assert_eq!((h.min, h.max), (Some(0.0), Some((N - 1) as f64)));
+
+        let mut last = Histogram::new(&Histogram::default_bounds());
+        for i in N - QUANTILE_WINDOW as u64..N {
+            last.record(value(i));
+        }
+        assert_eq!(h.quantiles(), last.quantiles());
+        assert_eq!(h.quantile(0.25), last.quantile(0.25));
+        assert!(h.window().eq(last.window()));
+
+        // Merging keeps the newest window of `self` then `other`.
+        let (mut a, mut b) =
+            (Histogram::new(&Histogram::default_bounds()), Histogram::new(&h.bounds));
+        for i in 0..N {
+            if i < N / 2 { &mut a } else { &mut b }.record(value(i));
+        }
+        a.merge(&b);
+        assert_eq!(a.count, N);
+        assert!(a.window().eq(h.window()));
+        a.record(1.5);
+        h.record(1.5);
+        assert!(a.window().eq(h.window()));
     }
 
     #[test]

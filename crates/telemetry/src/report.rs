@@ -147,7 +147,7 @@ pub struct RunReport {
     /// kernel roofline), when the run was profiled with `--profile`.
     /// Additive and optional, so no schema bump.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub profile: Option<noodle_profile::ProfileSummary>,
+    pub profile: Option<noodle_trace::ProfileSummary>,
 }
 
 impl RunReport {

@@ -13,15 +13,27 @@ use crate::span::{format_duration_ns, SpanRecord};
 pub trait Sink: Send {
     /// Called once per closed span.
     fn span_closed(&mut self, span: &SpanRecord, depth: usize);
+
+    /// Whether this sink ignores every span. While such a sink is
+    /// installed, span closes skip rebuilding the record and never lock
+    /// the sink.
+    fn discards(&self) -> bool {
+        false
+    }
 }
 
-/// Discards everything. The default sink: metrics and spans still
-/// accumulate in the registry for [`crate::snapshot`], nothing is printed.
+/// Discards everything. The default sink: spans stay on the event rings
+/// and metrics in the registry for [`crate::snapshot`]; nothing is
+/// printed.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl Sink for NullSink {
     fn span_closed(&mut self, _span: &SpanRecord, _depth: usize) {}
+
+    fn discards(&self) -> bool {
+        true
+    }
 }
 
 /// Pretty-prints closed spans to stderr, indented by depth — the live

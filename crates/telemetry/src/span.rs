@@ -1,29 +1,34 @@
 //! Hierarchical spans with wall-clock timing and key/value attributes.
 //!
-//! Spans nest through a per-thread stack: opening a span while another is
-//! active makes it a child of the active one. When a span closes its record
-//! is attached to its parent (or, for root spans, submitted to the global
-//! collector) and streamed to the configured [`crate::Sink`].
+//! Opening a span and closing it each write one event to the calling
+//! thread's ring in `noodle-trace` (plus one event per attribute) and
+//! nothing else: no name string, no parent bookkeeping, no registry. A
+//! span opened while another is open on the same thread is its child.
+//! [`SpanRecord`] trees are rebuilt from the ring when read: by
+//! [`crate::snapshot`] for the run report, and at close time for a live
+//! [`crate::Sink`] (only when one that keeps records is installed).
 
-use std::cell::RefCell;
-use std::time::Instant;
+use std::fmt;
 
+use noodle_trace::{self as trace, Event, EventKind, OpenSpan};
 use serde::{Deserialize, Serialize};
 
-use crate::{enabled, epoch, registry, with_sink};
+use crate::{enabled, sink_live, with_sink};
 
 /// A finished span: name, attributes, timing and nested children.
 ///
 /// Durations are wall-clock nanoseconds; `start_ns` is the offset from the
-/// telemetry epoch (the first instant the telemetry layer was touched), so
-/// records from one run share a common timeline.
+/// process epoch ([`noodle_trace::epoch`]), so records from one run share
+/// a common timeline with flight and kernel events.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
-    /// Span name, dotted by convention (`"cnn.fit"`).
+    /// Span name, dotted by convention (`"cnn.fit"`), truncated to
+    /// [`noodle_trace::NAME_CAP`] bytes.
     pub name: String,
-    /// Key/value attributes attached at open time.
+    /// Key/value attributes attached at open time (each key and value
+    /// together truncated to [`noodle_trace::NAME_CAP`] bytes).
     pub attrs: Vec<(String, String)>,
-    /// Start offset from the telemetry epoch, in nanoseconds.
+    /// Start offset from the process epoch, in nanoseconds.
     pub start_ns: u64,
     /// Wall-clock duration, in nanoseconds.
     pub duration_ns: u64,
@@ -59,108 +64,126 @@ impl SpanRecord {
     }
 }
 
-/// A span that has been opened but not yet closed.
-struct PendingSpan {
-    name: String,
-    attrs: Vec<(String, String)>,
-    start: Instant,
-    start_ns: u64,
-    children: Vec<SpanRecord>,
-    /// Ambient trace context at open time (0 = none), kept numeric until
-    /// close so the pending span stays cheap.
-    trace: u64,
-    span: u64,
-}
-
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<PendingSpan>> = const { RefCell::new(Vec::new()) };
-}
-
 /// RAII guard returned by [`crate::span!`] / [`start_span`]; closing (by
 /// drop) records the span.
 ///
 /// Guards must be dropped in reverse open order (the natural scoping
-/// behaviour); interleaved drops would attach children to the wrong parent.
+/// behaviour) and on the thread that opened them; interleaved drops would
+/// attach children to the wrong parent.
 #[must_use = "a span measures the scope that holds its guard"]
 pub struct SpanGuard {
-    armed: bool,
+    open: Option<OpenSpan>,
 }
 
 impl SpanGuard {
     /// A guard that does nothing on drop, used when telemetry is disabled.
     pub fn disabled() -> Self {
-        Self { armed: false }
+        Self { open: None }
+    }
+
+    /// Records a key/value attribute of this span: one more ring event,
+    /// with `value` formatted inline (truncated like the name). No-op on
+    /// a disabled guard.
+    pub fn attr(&self, key: &str, value: &dyn fmt::Display) {
+        if let Some(open) = &self.open {
+            trace::span_attr(open, key, value);
+        }
     }
 }
 
-/// Opens a span. Prefer the [`crate::span!`] macro, which skips attribute
-/// formatting entirely when telemetry is disabled.
-pub fn start_span(name: &str, attrs: Vec<(String, String)>) -> SpanGuard {
+/// Opens a span. Prefer the [`crate::span!`] macro, which also records
+/// attributes and skips evaluating them when telemetry is disabled.
+pub fn start_span(name: &str) -> SpanGuard {
     if !enabled() {
         return SpanGuard::disabled();
     }
-    let start = Instant::now();
-    let start_ns = start.duration_since(epoch()).as_nanos() as u64;
-    let (trace, span) = noodle_trace::current().map_or((0, 0), |c| (c.trace_id, c.span_id));
-    noodle_trace::flight_record(noodle_trace::FlightKind::SpanOpen, trace, span, 0, 0, name);
-    SPAN_STACK.with(|stack| {
-        stack.borrow_mut().push(PendingSpan {
-            name: name.to_string(),
-            attrs,
-            start,
-            start_ns,
-            children: Vec::new(),
-            trace,
-            span,
-        });
-    });
-    SpanGuard { armed: true }
+    SpanGuard { open: Some(trace::open_span(name)) }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
+        let Some(open) = self.open.take() else {
             return;
+        };
+        trace::close_span(&open);
+        if sink_live() {
+            if let Some(record) = closed_record(&open) {
+                with_sink(|sink| sink.span_closed(&record, usize::from(open.depth)));
+            }
         }
-        let closed = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let pending = stack.pop()?;
-            let trace = pending.trace;
-            let span = pending.span;
-            let record = SpanRecord {
-                duration_ns: pending.start.elapsed().as_nanos() as u64,
-                name: pending.name,
-                attrs: pending.attrs,
-                start_ns: pending.start_ns,
-                children: pending.children,
-                trace_id: if trace == 0 {
-                    String::new()
+    }
+}
+
+/// The record of the span `open` that just closed on this thread, rebuilt
+/// from this thread's ring: everything from its open event on.
+fn closed_record(open: &OpenSpan) -> Option<SpanRecord> {
+    let mut trees = SpanTrees::default();
+    for event in trace::thread_events_since(open.seq) {
+        trees.feed(&event);
+    }
+    if open.depth == 0 {
+        trees.roots.pop()
+    } else {
+        trees.pending.pop().map(|(_, record)| record)
+    }
+}
+
+/// Rebuilds span trees from one thread's events, fed oldest first.
+///
+/// A close event carries its span's name, start, duration and depth, so
+/// a span whose open the ring already overwrote still yields a record
+/// (without its attributes, which follow the open).
+#[derive(Default)]
+pub(crate) struct SpanTrees {
+    /// Attributes of the span open at each depth, once its open is seen.
+    attrs: Vec<Option<Vec<(String, String)>>>,
+    /// Closed spans whose parent has not closed yet, with their depth.
+    pending: Vec<(u16, SpanRecord)>,
+    /// Closed root spans, in completion order.
+    pub(crate) roots: Vec<SpanRecord>,
+}
+
+impl SpanTrees {
+    pub(crate) fn feed(&mut self, event: &Event) {
+        let depth = usize::from(event.depth);
+        match event.kind {
+            EventKind::SpanOpen => {
+                if self.attrs.len() <= depth {
+                    self.attrs.resize(depth + 1, None);
+                }
+                self.attrs[depth] = Some(Vec::new());
+            }
+            EventKind::SpanAttr => {
+                if let Some(Some(attrs)) = self.attrs.get_mut(depth) {
+                    let (key, value) = event.attr();
+                    attrs.push((key.to_owned(), value.to_owned()));
+                }
+            }
+            EventKind::SpanClose => {
+                let first_child = self
+                    .pending
+                    .iter()
+                    .rposition(|(d, _)| usize::from(*d) <= depth)
+                    .map_or(0, |i| i + 1);
+                let record = SpanRecord {
+                    name: event.name().to_owned(),
+                    attrs: self.attrs.get_mut(depth).and_then(Option::take).unwrap_or_default(),
+                    start_ns: event.t_ns,
+                    duration_ns: event.dur_ns,
+                    children: self.pending.drain(first_child..).map(|(_, r)| r).collect(),
+                    trace_id: if event.trace_id == 0 {
+                        String::new()
+                    } else {
+                        trace::format_trace_id(event.trace_id)
+                    },
+                };
+                if depth == 0 {
+                    self.roots.push(record);
                 } else {
-                    noodle_trace::format_trace_id(trace)
-                },
-            };
-            let depth = stack.len();
-            if let Some(parent) = stack.last_mut() {
-                parent.children.push(record.clone());
+                    self.pending.push((event.depth, record));
+                }
             }
-            Some((record, depth, trace, span))
-        });
-        if let Some((record, depth, trace, span)) = closed {
-            noodle_trace::flight_record(
-                noodle_trace::FlightKind::SpanClose,
-                trace,
-                span,
-                record.duration_ns,
-                0,
-                &record.name,
-            );
-            // Mirror the closed span onto the profiler timeline (no-op
-            // unless `--profile` enabled event collection).
-            noodle_profile::record_span(&record.name, record.start_ns, record.duration_ns);
-            if depth == 0 {
-                registry().lock().expect("telemetry registry poisoned").spans.push(record.clone());
-            }
-            with_sink(|sink| sink.span_closed(&record, depth));
+            _ => {}
         }
     }
 }
@@ -218,6 +241,69 @@ mod tests {
         root.children.push(mid);
         assert_eq!(root.find("deep").unwrap().duration_ns, 20);
         assert!(root.find("missing").is_none());
+    }
+
+    fn event(kind: EventKind, name: &str, depth: u16, t_ns: u64, dur_ns: u64) -> Event {
+        let mut e = Event::new(kind, name).at(t_ns, dur_ns);
+        e.depth = depth;
+        e
+    }
+
+    fn attr(key: &str, value: &str, depth: u16) -> Event {
+        let mut e = Event::new(EventKind::SpanAttr, &format!("{key}{value}"));
+        e.depth = depth;
+        e.a = key.len() as u64;
+        e
+    }
+
+    #[test]
+    fn trees_nest_by_depth_and_keep_attributes() {
+        let mut trees = SpanTrees::default();
+        for e in [
+            event(EventKind::SpanOpen, "root", 0, 0, 0),
+            attr("seed", "3", 0),
+            event(EventKind::SpanOpen, "a", 1, 10, 0),
+            event(EventKind::SpanOpen, "deep", 2, 12, 0),
+            event(EventKind::SpanClose, "deep", 2, 12, 3),
+            event(EventKind::SpanClose, "a", 1, 10, 20),
+            event(EventKind::SpanOpen, "b", 1, 40, 0),
+            attr("k", "v", 1),
+            event(EventKind::SpanClose, "b", 1, 40, 5),
+            event(EventKind::SpanClose, "root", 0, 0, 100),
+            event(EventKind::SpanOpen, "open", 0, 200, 0),
+            event(EventKind::SpanOpen, "closed.child", 1, 201, 0),
+            event(EventKind::SpanClose, "closed.child", 1, 201, 1),
+        ] {
+            trees.feed(&e);
+        }
+        assert_eq!(trees.roots.len(), 1, "a root still open is not reported");
+        let root = &trees.roots[0];
+        assert_eq!(root.attrs, vec![("seed".to_string(), "3".to_string())]);
+        assert_eq!((root.start_ns, root.duration_ns), (0, 100));
+        let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(root.children[0].children[0].name, "deep");
+        assert_eq!(root.children[1].attrs, vec![("k".to_string(), "v".to_string())]);
+        assert!(root.children[0].attrs.is_empty());
+    }
+
+    #[test]
+    fn a_span_whose_open_was_overwritten_still_closes_into_a_record() {
+        let mut trees = SpanTrees::default();
+        // The ring kept only the tail: an attribute and a child of a root
+        // whose open event is gone.
+        for e in [
+            attr("lost", "1", 0),
+            event(EventKind::SpanOpen, "child", 1, 5, 0),
+            event(EventKind::SpanClose, "child", 1, 5, 2),
+            event(EventKind::SpanClose, "root", 0, 0, 10),
+        ] {
+            trees.feed(&e);
+        }
+        let root = &trees.roots[0];
+        assert_eq!((root.name.as_str(), root.duration_ns), ("root", 10));
+        assert!(root.attrs.is_empty());
+        assert_eq!(root.children.len(), 1);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn count_dealloc(size: u64) {
 ///
 /// ```ignore
 /// #[global_allocator]
-/// static ALLOC: noodle_profile::CountingAllocator = noodle_profile::CountingAllocator::new();
+/// static ALLOC: noodle_trace::CountingAllocator = noodle_trace::CountingAllocator::new();
 /// ```
 pub struct CountingAllocator;
 

@@ -11,7 +11,8 @@
 use serde_json::{json, Map, Value};
 
 use crate::alloc::MemStats;
-use crate::ring::{EventKind, Profile, ProfileEvent, ThreadProfile};
+use crate::profile::{Profile, ProfileEvent, ThreadProfile};
+use crate::ring::EventKind;
 
 /// Run-level metadata embedded in the trace's `otherData` block.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -82,7 +83,7 @@ pub fn write_chrome_trace(profile: &Profile, meta: &TraceMeta) -> String {
             if e.trace_id != 0 {
                 // 16-hex-digit form: the same string the audit record and
                 // /debug/trace/<id> use, so one grep joins all three.
-                args["trace"] = Value::String(noodle_trace::format_trace_id(e.trace_id));
+                args["trace"] = Value::String(crate::format_trace_id(e.trace_id));
             }
             events.push(json!({
                 "ph": "X",
@@ -144,9 +145,9 @@ pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), TraceError>
             "X" => {
                 let cat = obj.get("cat").and_then(Value::as_str).unwrap_or("");
                 let kind = if cat == "span" {
-                    EventKind::Span
+                    EventKind::SpanClose
                 } else {
-                    EventKind::from_label(&name).unwrap_or(EventKind::Span)
+                    EventKind::from_label(&name).unwrap_or(EventKind::SpanClose)
                 };
                 let args = obj.get("args").and_then(Value::as_object);
                 thread.events.push(ProfileEvent {
@@ -159,7 +160,7 @@ pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), TraceError>
                     trace_id: args
                         .and_then(|a| a.get("trace"))
                         .and_then(Value::as_str)
-                        .and_then(noodle_trace::parse_trace_id)
+                        .and_then(crate::parse_trace_id)
                         .unwrap_or(0),
                 });
             }
@@ -182,7 +183,7 @@ mod tests {
                 dropped: 0,
                 events: vec![
                     ProfileEvent {
-                        kind: EventKind::Span,
+                        kind: EventKind::SpanClose,
                         name: "fit".into(),
                         start_ns: 0,
                         dur_ns: 5_000,

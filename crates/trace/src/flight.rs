@@ -1,158 +1,36 @@
-//! The flight recorder: a bounded, lock-free, always-on ring of recent
-//! structured events.
+//! The flight view: recent span opens/closes, monitor transitions and
+//! request summaries, read from the per-thread event rings.
 //!
-//! Think of it as a black box for the detector: span opens/closes,
-//! monitor health transitions and per-request summaries are written into
-//! a fixed-capacity ring as fixed-size `Copy` slots. Writers never block
-//! and never allocate (after the one-time lazy ring allocation); readers
-//! ([`flight_snapshot`]) reconstruct the most recent events in order.
-//! When `StreamingMonitors` trips into Alert — or on demand via
-//! `GET /debug/flight` — the ring is snapshotted into a self-contained
-//! diagnostics bundle.
-//!
-//! Concurrency model: a global atomic head assigns each write a unique
-//! monotone sequence number `n`; the writer publishes into slot
-//! `n % capacity` under a per-slot seqlock (`2n+1` while writing,
-//! `2n+2` when done). Readers copy the slot and accept it only if the
-//! sequence was even and unchanged across the copy, so torn slots are
-//! skipped, never surfaced. Two writers can only collide on one slot if
-//! the ring wraps completely during a single ~80-byte write — accepted
-//! as diagnostic-grade.
-
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+//! Think of it as a black box for the detector. Writers pay one ring
+//! write ([`flight_record`]); nothing is kept anywhere else. When
+//! `StreamingMonitors` trips into Alert — or on demand via
+//! `GET /debug/flight` — [`flight_snapshot`] merges the rings' flight
+//! events into one timeline for a self-contained diagnostics bundle.
 
 use serde::{Deserialize, Serialize};
 
+use crate::ring::{rings, Event, EventKind};
 use crate::{format_trace_id, now_ns};
 
-/// Maximum bytes of an event name retained in a ring slot; longer names
-/// are truncated (the ring stores fixed-size `Copy` slots only).
-pub const FLIGHT_NAME_CAP: usize = 40;
+/// The kinds the flight view shows; the same enum as every ring event.
+pub type FlightKind = EventKind;
 
-const DEFAULT_CAPACITY: usize = 4096;
-
-/// What kind of moment a flight event records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum FlightKind {
-    /// A telemetry span opened (`name` = span name).
-    SpanOpen,
-    /// A telemetry span closed (`a` = duration in ns).
-    SpanClose,
-    /// The streaming monitors' overall health changed
-    /// (`a` = from, `b` = to; 0 healthy, 1 warn, 2 alert).
-    MonitorTransition,
-    /// A detect request completed (`name` = design, `a` = request index
-    /// within the call, `b` = 1 if flagged infected).
-    Request,
-}
-
-#[derive(Clone, Copy)]
-struct RawEvent {
-    kind: FlightKind,
-    trace_id: u64,
-    span_id: u64,
-    t_ns: u64,
-    a: u64,
-    b: u64,
-    name: [u8; FLIGHT_NAME_CAP],
-    name_len: u8,
-}
-
-const EMPTY_RAW: RawEvent = RawEvent {
-    kind: FlightKind::SpanOpen,
-    trace_id: 0,
-    span_id: 0,
-    t_ns: 0,
-    a: 0,
-    b: 0,
-    name: [0; FLIGHT_NAME_CAP],
-    name_len: 0,
-};
-
-struct Slot {
-    seq: AtomicU64,
-    data: UnsafeCell<RawEvent>,
-}
-
-// The UnsafeCell is guarded by the per-slot seqlock protocol above.
-unsafe impl Sync for Slot {}
-
-struct Ring {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-}
-
-static RING: OnceLock<Ring> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-fn ring() -> &'static Ring {
-    RING.get_or_init(|| {
-        let capacity = std::env::var("NOODLE_FLIGHT_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        let slots = (0..capacity)
-            .map(|_| Slot { seq: AtomicU64::new(0), data: UnsafeCell::new(EMPTY_RAW) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring { slots, head: AtomicU64::new(0) }
-    })
-}
-
-/// Whether the flight recorder is collecting. On by default — the whole
-/// point is to already have the history when something goes wrong.
-#[inline]
-pub fn flight_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns collection on or off (the ring itself is retained either way).
-pub fn set_flight_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Records one event into the ring. Never blocks; after the ring's
-/// one-time lazy allocation this is allocation-free: one `fetch_add`,
-/// two release stores and a fixed-size slot write. `name` is truncated
-/// to [`FLIGHT_NAME_CAP`] bytes.
+/// Records one instant event on the calling thread's ring, stamped now.
+/// Never blocks; after the thread's first event this is allocation-free.
+/// `name` is truncated to [`crate::NAME_CAP`] bytes.
 pub fn flight_record(kind: FlightKind, trace_id: u64, span_id: u64, a: u64, b: u64, name: &str) {
-    if !flight_enabled() {
-        return;
-    }
-    let ring = ring();
-    let n = ring.head.fetch_add(1, Ordering::Relaxed);
-    let slot = &ring.slots[(n % ring.slots.len() as u64) as usize];
-    let mut raw = RawEvent {
-        kind,
-        trace_id,
-        span_id,
-        t_ns: now_ns(),
-        a,
-        b,
-        name: [0; FLIGHT_NAME_CAP],
-        name_len: 0,
-    };
-    let bytes = name.as_bytes();
-    let take = bytes.len().min(FLIGHT_NAME_CAP);
-    raw.name[..take].copy_from_slice(&bytes[..take]);
-    raw.name_len = take as u8;
-    slot.seq.store(2 * n + 1, Ordering::Release);
-    // SAFETY: the odd seq marks the slot as being written; readers that
-    // observe an odd or changed seq discard their copy.
-    unsafe { *slot.data.get() = raw };
-    slot.seq.store(2 * n + 2, Ordering::Release);
+    crate::push(&Event::new(kind, name).ids(trace_id, span_id).at(now_ns(), 0).payload(a, b));
 }
 
-/// One event as drained from the ring: the serializable, human-readable
+/// One event as drained from the rings: the serializable, human-readable
 /// form used in flight bundles and `/debug/trace/<id>`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecordEvent {
-    /// Global write sequence number (monotone; gaps mean overwritten).
+    /// Sequence number within its thread's ring (gaps mean overwritten).
     pub seq: u64,
+    /// Ring the event was written to (one per recording thread).
+    #[serde(default)]
+    pub tid: u32,
     /// Event kind.
     pub kind: FlightKind,
     /// Owning trace id as 16 hex digits; empty if the event had no
@@ -162,8 +40,13 @@ pub struct FlightRecordEvent {
     /// Root span id as 16 hex digits; empty if none.
     #[serde(default)]
     pub span_id: String,
-    /// Nanoseconds since the process [`crate::epoch`].
+    /// Nanoseconds since the process [`crate::epoch`]: when the event
+    /// happened, or when its interval started.
     pub t_ns: u64,
+    /// Interval length in nanoseconds (a closed span's duration; 0 for
+    /// instants).
+    #[serde(default)]
+    pub dur_ns: u64,
     /// Event name (span name, design name, monitor name...).
     pub name: String,
     /// Kind-specific payload (see [`FlightKind`]).
@@ -172,93 +55,90 @@ pub struct FlightRecordEvent {
     pub b: u64,
 }
 
-/// Snapshots the ring: the most recent events, oldest first. Torn or
-/// never-written slots are skipped. Safe to call concurrently with
-/// writers; the result is a consistent set of fully-written events.
-pub fn flight_snapshot() -> Vec<FlightRecordEvent> {
-    let Some(ring) = RING.get() else {
-        return Vec::new();
-    };
-    let mut out = Vec::with_capacity(ring.slots.len());
-    for slot in ring.slots.iter() {
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 || s1 % 2 == 1 {
-            continue;
-        }
-        // SAFETY: we copy the slot and then re-check the seqlock; a torn
-        // copy is detected by the seq having moved and is discarded.
-        let raw = unsafe { *slot.data.get() };
-        if slot.seq.load(Ordering::Acquire) != s1 {
-            continue;
-        }
-        let n = s1 / 2 - 1;
-        let name =
-            std::str::from_utf8(&raw.name[..raw.name_len as usize]).unwrap_or("").to_string();
-        out.push(FlightRecordEvent {
-            seq: n,
-            kind: raw.kind,
-            trace_id: if raw.trace_id == 0 { String::new() } else { format_trace_id(raw.trace_id) },
-            span_id: if raw.span_id == 0 { String::new() } else { format_trace_id(raw.span_id) },
-            t_ns: raw.t_ns,
-            name,
-            a: raw.a,
-            b: raw.b,
-        });
+fn hex_or_empty(id: u64) -> String {
+    if id == 0 {
+        String::new()
+    } else {
+        format_trace_id(id)
     }
-    out.sort_by_key(|e| e.seq);
-    out
+}
+
+/// Snapshots the rings' flight events, ordered by when they were
+/// recorded (an interval when it ended). Safe to call concurrently with
+/// writers; the result holds fully written events only.
+pub fn flight_snapshot() -> Vec<FlightRecordEvent> {
+    let mut out: Vec<(u64, FlightRecordEvent)> = rings()
+        .into_iter()
+        .flat_map(|ring| {
+            let tid = ring.tid;
+            ring.events.into_iter().filter(|(_, e)| e.kind.is_flight()).map(move |(seq, e)| {
+                let view = FlightRecordEvent {
+                    seq,
+                    tid,
+                    kind: e.kind,
+                    trace_id: hex_or_empty(e.trace_id),
+                    span_id: hex_or_empty(e.span_id),
+                    t_ns: e.t_ns,
+                    dur_ns: e.dur_ns,
+                    name: e.name().to_owned(),
+                    a: e.a,
+                    b: e.b,
+                };
+                (e.end_ns(), view)
+            })
+        })
+        .collect();
+    out.sort_by_key(|(end, e)| (*end, e.tid, e.seq));
+    out.into_iter().map(|(_, e)| e).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The ring is process-global, so these tests share it; they only
-    // assert properties that hold regardless of interleaving.
+    // The rings are process-global, so these tests only assert properties
+    // that hold regardless of what other tests record.
+
+    fn mine(ctx: crate::TraceContext) -> Vec<FlightRecordEvent> {
+        let hex = format_trace_id(ctx.trace_id);
+        flight_snapshot().into_iter().filter(|e| e.trace_id == hex).collect()
+    }
 
     #[test]
     fn recorded_events_come_back_in_order_with_payloads() {
         let ctx = crate::TraceContext::mint();
         flight_record(FlightKind::Request, ctx.trace_id, ctx.span_id, 7, 1, "uart_007");
-        flight_record(FlightKind::SpanClose, ctx.trace_id, ctx.span_id, 123, 0, "detect");
-        let snap = flight_snapshot();
-        let mine: Vec<_> =
-            snap.iter().filter(|e| e.trace_id == format_trace_id(ctx.trace_id)).collect();
+        flight_record(FlightKind::MonitorTransition, ctx.trace_id, ctx.span_id, 0, 2, "overall");
+        let mine = mine(ctx);
         assert_eq!(mine.len(), 2);
         assert!(mine[0].seq < mine[1].seq);
         assert_eq!(mine[0].kind, FlightKind::Request);
         assert_eq!(mine[0].name, "uart_007");
         assert_eq!(mine[0].a, 7);
-        assert_eq!(mine[1].kind, FlightKind::SpanClose);
-        assert_eq!(mine[1].a, 123);
+        assert_eq!(mine[1].kind, FlightKind::MonitorTransition);
+        assert_eq!(mine[1].b, 2);
     }
 
     #[test]
     fn long_names_are_truncated_not_dropped() {
         let ctx = crate::TraceContext::mint();
-        let long = "x".repeat(FLIGHT_NAME_CAP + 50);
-        flight_record(FlightKind::SpanOpen, ctx.trace_id, 0, 0, 0, &long);
-        let snap = flight_snapshot();
-        let mine =
-            snap.iter().find(|e| e.trace_id == format_trace_id(ctx.trace_id)).expect("recorded");
-        assert_eq!(mine.name.len(), FLIGHT_NAME_CAP);
+        let long = "x".repeat(crate::NAME_CAP + 50);
+        flight_record(FlightKind::Request, ctx.trace_id, 0, 0, 0, &long);
+        assert_eq!(mine(ctx)[0].name.len(), crate::NAME_CAP);
     }
 
     #[test]
-    fn disabling_suppresses_writes() {
+    fn kernel_events_stay_out_of_the_flight_view() {
         let ctx = crate::TraceContext::mint();
-        set_flight_enabled(false);
-        flight_record(FlightKind::SpanOpen, ctx.trace_id, 0, 0, 0, "hidden");
-        set_flight_enabled(true);
-        let snap = flight_snapshot();
-        assert!(!snap.iter().any(|e| e.trace_id == format_trace_id(ctx.trace_id)));
+        crate::push(&Event::new(EventKind::Gemm, "").ids(ctx.trace_id, 0));
+        assert!(mine(ctx).is_empty());
     }
 
     #[test]
     fn events_serialize_round_trip() {
         let ctx = crate::TraceContext::mint();
         flight_record(FlightKind::MonitorTransition, ctx.trace_id, 0, 0, 2, "overall");
-        let snap = flight_snapshot();
+        let snap = mine(ctx);
         let json = serde_json::to_string(&snap).unwrap();
         let back: Vec<FlightRecordEvent> = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);

@@ -1,55 +1,93 @@
 //! # noodle-trace
 //!
-//! Request-scoped causal tracing for the NOODLE pipeline, plus an
-//! always-on **flight recorder**.
+//! The NOODLE pipeline's one event path: request-scoped trace contexts,
+//! one fixed-size event type recorded into one lock-free ring per thread,
+//! and the views read from those rings.
 //!
 //! * [`TraceContext`] — a cheap `Copy` pair of (trace id, span id) minted
 //!   once per detect request (or derived per design inside a batch) and
-//!   carried through every layer: telemetry spans, profiler kernel
-//!   events, audit records and compute-pool child jobs all stamp the
-//!   ambient context, so one 16-hex-digit id joins a design's audit
-//!   record, its spans and its kernels across every output.
+//!   carried through every layer: telemetry spans, kernel events, audit
+//!   records and compute-pool child jobs all stamp the ambient context,
+//!   so one 16-hex-digit id joins a design's audit record, its spans and
+//!   its kernels across every output.
 //! * **Ambient slot** — [`current`] / [`set_current`] expose the active
 //!   context through a thread-local `Cell`. The `noodle-compute` pool
 //!   captures the submitter's context at job submission and installs it
 //!   on workers around each chunk, so causality survives the pool
-//!   boundary without touching chunk geometry (the determinism contract
-//!   is untouched: contexts ride alongside chunks, they never influence
-//!   them).
-//! * **Flight recorder** — a bounded lock-free ring of recent structured
-//!   events ([`flight_record`] / [`flight_snapshot`]): span open/close,
-//!   monitor transitions, per-request summaries. Writers pay two atomic
-//!   stores and a fixed-size `Copy` slot write — no locks, no allocation
-//!   after the ring exists — so it can stay on for the life of the
-//!   process and be dumped the moment something goes wrong.
+//!   boundary without touching chunk geometry.
+//! * **Event rings** — every span open, span attribute, span close,
+//!   monitor transition, request summary, pool job and kernel is one
+//!   [`Event`] pushed onto the calling thread's ring ([`push`]): a few
+//!   stores, no lock, no allocation once the thread's ring exists. Each
+//!   ring keeps its newest events and counts the overwritten ones. Span
+//!   and flight events are always on; pool and kernel events only while
+//!   profiling is [`enabled`].
+//! * **Views, built when read** — [`flight_snapshot`] (flight bundles,
+//!   `/debug/trace/<id>`), [`drain`] (the profile behind `--profile`,
+//!   [`write_chrome_trace`] and [`summarize`]) and, in `noodle-telemetry`,
+//!   the run report's stage tree.
+//! * [`CountingAllocator`] — a drop-in global allocator that (only when
+//!   enabled) counts allocations, bytes and the peak live footprint.
+//!
+//! Recording only writes timestamps and counters — it never touches RNG
+//! state, chunk boundaries or accumulation order — so pipeline outputs
+//! are bit-identical with profiling on or off at any thread count.
+//!
+//! ## Quickstart
+//!
+//! ```
+//! use noodle_trace as trace;
+//!
+//! trace::set_enabled(true);
+//! {
+//!     let _k = trace::KernelTimer::start(trace::EventKind::Gemm, 1_000, 4_096);
+//! }
+//! let span = trace::open_span("demo.stage");
+//! trace::close_span(&span);
+//! let prof = trace::drain();
+//! assert!(prof.threads.iter().any(|t| !t.events.is_empty()));
+//! trace::set_enabled(false);
+//! ```
 //!
 //! This crate is a leaf: every other noodle crate may depend on it. It
-//! also owns the process-wide monotonic [`epoch`] that `noodle-profile`
-//! and `noodle-telemetry` share, so flight events, profiler events and
-//! spans all live on one timeline.
+//! also owns the process-wide monotonic [`epoch`], so every event lives
+//! on one timeline.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod alloc;
+mod chrome;
 mod context;
 mod flight;
+mod profile;
+mod ring;
+mod summary;
 
+pub use alloc::{mem_stats, set_mem_enabled, CountingAllocator, MemStats};
+pub use chrome::{read_chrome_trace, write_chrome_trace, TraceError, TraceMeta};
 pub use context::{
     current, format_trace_id, parse_trace_id, set_current, swap_current, ContextGuard, TraceContext,
 };
-pub use flight::{
-    flight_enabled, flight_record, flight_snapshot, set_flight_enabled, FlightKind,
-    FlightRecordEvent, FLIGHT_NAME_CAP,
+pub use flight::{flight_record, flight_snapshot, FlightKind, FlightRecordEvent};
+pub use profile::{drain, record, KernelTimer, Profile, ProfileEvent, ThreadProfile};
+pub use ring::{
+    close_span, open_span, push, ring_capacity, rings, span_attr, thread_events_since, Event,
+    EventKind, OpenSpan, RingSnapshot, NAME_CAP,
+};
+pub use summary::{
+    render_summary, summarize, KernelSummary, ProfileSummary, SpanSelfTime, ThreadSummary,
 };
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
+static PROFILING: AtomicBool = AtomicBool::new(false);
 
-/// The process-wide monotonic time origin. First touch pins it;
-/// `noodle-profile::epoch` delegates here so spans, kernel events and
-/// flight events share one timeline.
+/// The process-wide monotonic time origin. First touch pins it, so
+/// spans, kernel events and flight events share one timeline.
 pub fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
@@ -58,4 +96,21 @@ pub fn epoch() -> Instant {
 #[inline]
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
+}
+
+/// Whether profiling is on: pool and kernel events are recorded, and
+/// rings created from now on take the profile capacity. One relaxed
+/// atomic load — the only cost instrumented kernels pay when it is off.
+#[inline]
+pub fn enabled() -> bool {
+    PROFILING.load(Ordering::Relaxed)
+}
+
+/// Turns profiling on or off. Turn it on before the run records its
+/// first event, so every thread's ring is created at the profile size.
+pub fn set_enabled(on: bool) {
+    if on {
+        let _ = epoch();
+    }
+    PROFILING.store(on, Ordering::Relaxed);
 }

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::MemStats;
-use crate::ring::{EventKind, Profile, ProfileEvent};
+use crate::profile::{Profile, ProfileEvent};
+use crate::ring::EventKind;
 
 /// How many spans `top_spans` keeps.
 const TOP_SPANS: usize = 10;
@@ -124,7 +125,7 @@ fn interval_coverage(mut spans: Vec<(u64, u64)>) -> u64 {
 /// minus the durations of spans directly nested inside it.
 fn span_self_times(events: &[ProfileEvent], acc: &mut BTreeMap<String, SpanSelfTime>) {
     let mut spans: Vec<&ProfileEvent> =
-        events.iter().filter(|e| e.kind == EventKind::Span).collect();
+        events.iter().filter(|e| e.kind == EventKind::SpanClose).collect();
     // Parents sort before children: earlier start first, longer first on ties.
     spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.dur_ns.cmp(&a.dur_ns)));
     // stack of (end_ns, index into `order`) for open ancestors
@@ -325,7 +326,7 @@ pub fn render_summary(summary: &ProfileSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::ThreadProfile;
+    use crate::profile::ThreadProfile;
 
     fn ev(kind: EventKind, name: &str, start: u64, dur: u64, flops: u64) -> ProfileEvent {
         ProfileEvent {
@@ -349,9 +350,9 @@ mod tests {
     #[test]
     fn self_time_subtracts_nested_spans() {
         let events = vec![
-            ev(EventKind::Span, "outer", 0, 100, 0),
-            ev(EventKind::Span, "inner", 10, 30, 0),
-            ev(EventKind::Span, "inner", 50, 20, 0),
+            ev(EventKind::SpanClose, "outer", 0, 100, 0),
+            ev(EventKind::SpanClose, "inner", 10, 30, 0),
+            ev(EventKind::SpanClose, "inner", 50, 20, 0),
         ];
         let mut acc = BTreeMap::new();
         span_self_times(&events, &mut acc);
@@ -370,7 +371,7 @@ mod tests {
                     name: "main".into(),
                     dropped: 0,
                     events: vec![
-                        ev(EventKind::Span, "fit", 0, 1000, 0),
+                        ev(EventKind::SpanClose, "fit", 0, 1000, 0),
                         ev(EventKind::Gemm, "gemm", 100, 200, 400_000),
                     ],
                 },

@@ -1,75 +1,132 @@
-//! Proves the flight recorder's overhead budget: after the one-time lazy
-//! ring allocation, recording events, minting contexts and swapping the
-//! ambient slot perform zero heap allocations — and the disabled path is
-//! likewise free. This is what lets the recorder stay always-on.
+//! The event path's overhead contract: once a thread's ring exists,
+//! recording allocates nothing — not flight events, not kernel events,
+//! not a `span!` open and close with telemetry on — and every disabled
+//! hook is free too. This is what lets the rings stay always on.
 //!
-//! The allocation counter is process-global, so this target runs without
-//! the libtest harness (`harness = false`), whose threads would allocate
-//! inside the measured window.
+//! Uses the crate's own [`CountingAllocator`] as the global allocator,
+//! which doubles as an integration test of the allocator itself. The
+//! counters are process-global and the libtest harness's threads would
+//! allocate inside the measured windows, so this target runs without the
+//! harness (`harness = false`) and `main` runs the checks in turn.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use noodle_trace::{flight_record, set_flight_enabled, FlightKind, TraceContext};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use noodle_telemetry as telemetry;
+use noodle_trace::{
+    flight_record, mem_stats, record, set_enabled, set_mem_enabled, CountingAllocator, EventKind,
+    FlightKind, KernelTimer, TraceContext,
+};
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: CountingAllocator = CountingAllocator::new();
 
 fn main() {
-    warm_and_disabled_flight_paths_allocate_nothing();
+    counting_allocator_tracks_real_allocations();
+    // Warm up: allocate this thread's ring, pin the epoch, seed the id
+    // generator, install the default sink.
+    telemetry::set_sink(Box::new(telemetry::NullSink));
+    let warm = TraceContext::mint();
+    flight_record(FlightKind::Request, warm.trace_id, warm.span_id, 0, 0, "warmup");
+
+    disabled_hooks_allocate_nothing();
+    warm_flight_events_allocate_nothing();
+    warm_kernel_events_allocate_nothing();
+    warm_spans_allocate_nothing();
+    exited_threads_hand_their_rings_on();
 }
 
-fn warm_and_disabled_flight_paths_allocate_nothing() {
-    // Warm up: allocate the ring, pin the epoch, seed the id generator.
-    let warm = TraceContext::mint();
-    flight_record(FlightKind::SpanOpen, warm.trace_id, warm.span_id, 0, 0, "warmup");
+/// Allocations made while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    set_mem_enabled(true);
+    let before = mem_stats().allocations;
+    f();
+    let after = mem_stats().allocations;
+    set_mem_enabled(false);
+    after - before
+}
 
-    // Warm (enabled) path: mint + ambient swap + record, all alloc-free.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..1000u64 {
-        let ctx = TraceContext::mint();
-        let child = ctx.derived(i);
-        let _guard = noodle_trace::set_current(child);
-        debug_assert_eq!(noodle_trace::current(), Some(child));
-        flight_record(
-            FlightKind::Request,
-            child.trace_id,
-            child.span_id,
-            i,
-            0,
-            "design_under_test",
-        );
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "warm flight-recorder path must not allocate");
+fn counting_allocator_tracks_real_allocations() {
+    set_mem_enabled(true);
+    let before = mem_stats();
+    let v: Vec<u8> = Vec::with_capacity(1 << 16);
+    let after = mem_stats();
+    drop(v);
+    set_mem_enabled(false);
+    assert!(after.allocations > before.allocations, "a real Vec allocation must be counted");
+    assert!(after.allocated_bytes - before.allocated_bytes >= 1 << 16);
+    assert!(after.peak_bytes >= 1 << 16);
+}
 
-    // Disabled path: one relaxed load, nothing else.
-    set_flight_enabled(false);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..1000u64 {
-        flight_record(FlightKind::SpanOpen, i, 0, 0, 0, "suppressed");
+fn disabled_hooks_allocate_nothing() {
+    set_enabled(false);
+    telemetry::set_enabled(false);
+    let n = allocations(|| {
+        for i in 0..1_000u64 {
+            record(EventKind::Gemm, i, 1, 1_000, 64);
+            let _t = KernelTimer::start(EventKind::DenseFwd, 2_048, 128);
+            let _s = telemetry::span!("disabled.span", index = i);
+        }
+    });
+    assert_eq!(n, 0, "disabled hooks must not touch the allocator");
+}
+
+fn warm_flight_events_allocate_nothing() {
+    let n = allocations(|| {
+        for i in 0..1_000u64 {
+            let ctx = TraceContext::mint();
+            let child = ctx.derived(i);
+            let _guard = noodle_trace::set_current(child);
+            flight_record(FlightKind::Request, child.trace_id, child.span_id, i, 0, "design");
+        }
+    });
+    assert_eq!(n, 0, "warm flight events must not allocate");
+}
+
+fn warm_kernel_events_allocate_nothing() {
+    set_enabled(true);
+    let n = allocations(|| {
+        for i in 0..1_000u64 {
+            record(EventKind::Gemm, i, 1, 1_000, 64);
+            let _t = KernelTimer::start(EventKind::DenseFwd, 2_048, 128);
+        }
+    });
+    set_enabled(false);
+    assert_eq!(n, 0, "warm kernel events must not allocate");
+}
+
+fn warm_spans_allocate_nothing() {
+    telemetry::set_enabled(true);
+    let plain = allocations(|| {
+        for _ in 0..1_000 {
+            let _root = telemetry::span!("zero_alloc.root");
+            let _child = telemetry::span!("zero_alloc.child");
+        }
+    });
+    let with_attrs = allocations(|| {
+        for i in 0..1_000u64 {
+            let _s = telemetry::span!("zero_alloc.attrs", index = i, modality = "graph");
+        }
+    });
+    telemetry::set_enabled(false);
+    assert_eq!(plain, 0, "a span! open and close with telemetry on must not allocate");
+    assert_eq!(with_attrs, 0, "span! attributes are formatted inline, without allocating");
+    telemetry::set_enabled(true);
+    assert_eq!(telemetry::snapshot().spans.last().map(|s| s.attrs.len()), Some(2));
+    telemetry::set_enabled(false);
+}
+
+/// A thread's ring outlives the thread and is taken over by the next new
+/// thread, so a thread per connection never means a ring per connection.
+fn exited_threads_hand_their_rings_on() {
+    let spawn_and_record = |name: &'static str| {
+        std::thread::spawn(move || flight_record(FlightKind::Request, 0, 0, 0, 0, name))
+            .join()
+            .unwrap();
+    };
+    spawn_and_record("first.thread");
+    let rings = noodle_trace::rings().len();
+    for _ in 0..10 {
+        spawn_and_record("later.thread");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    set_flight_enabled(true);
-    assert_eq!(after - before, 0, "disabled flight-recorder path must not allocate");
+    let all = noodle_trace::rings();
+    assert_eq!(all.len(), rings, "exited threads' rings are reused");
+    assert!(all.iter().any(|r| r.events.iter().any(|(_, e)| e.name() == "first.thread")));
 }

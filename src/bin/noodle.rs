@@ -58,9 +58,9 @@ use noodle::observe::{
     parse_audit_log, replay, AuditLine, AuditSink, JsonlAudit, LogFollower, MonitorConfig,
     MonitorReport, RotatingJsonlAudit, SloConfig, StreamingMonitors, TeeAudit,
 };
-use noodle::profile;
 use noodle::serve::{signals, ModelLoader, ServeConfig, ServeController, ServeEngine};
 use noodle::telemetry::{self, CorpusSummary, EvaluationSummary, RunContext, RunReport};
+use noodle::trace;
 use noodle::{
     extract_modalities, DetectRequest, FeatureCache, FusionStrategy, MultimodalDataset,
     NoodleConfig, NoodleDetector, PipelineError,
@@ -71,7 +71,7 @@ use rand::SeedableRng;
 /// Counting allocator for `--profile-mem`: a pure pass-through to the
 /// system allocator (one relaxed load per call) until the flag arms it.
 #[global_allocator]
-static ALLOC: profile::CountingAllocator = profile::CountingAllocator::new();
+static ALLOC: trace::CountingAllocator = trace::CountingAllocator::new();
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -350,7 +350,7 @@ fn set_compute_gauges() {
     let busy = noodle::compute::busy_ns() as f64;
     let wait = noodle::compute::queue_wait_ns() as f64;
     // Capacity = wall time since the shared epoch x pool width.
-    let capacity = profile::now_ns() as f64 * noodle::compute::num_threads() as f64;
+    let capacity = trace::now_ns() as f64 * noodle::compute::num_threads() as f64;
     if capacity > 0.0 {
         telemetry::gauge_set("compute.pool_utilization", busy / capacity);
     }
@@ -401,10 +401,10 @@ impl Observability {
             telemetry::set_enabled(true);
         }
         if profile_path.is_some() {
-            profile::set_enabled(true);
+            trace::set_enabled(true);
         }
         if profile_mem {
-            profile::set_mem_enabled(true);
+            trace::set_mem_enabled(true);
         }
         // After set_enabled: gauges set while telemetry is disabled are
         // dropped, so a `--report` run used to lose this one.
@@ -501,13 +501,13 @@ impl Observability {
     /// through its own file handle — `--audit` may be streaming to a
     /// different file in the same invocation) and returns the roofline
     /// summary for embedding in the run report.
-    fn write_profile(&self) -> Result<Option<profile::ProfileSummary>, CliError> {
+    fn write_profile(&self) -> Result<Option<trace::ProfileSummary>, CliError> {
         let Some(path) = &self.profile else {
             return Ok(None);
         };
-        let prof = profile::drain();
+        let prof = trace::drain();
         let peak = noodle::compute::gemm_peak_gflops();
-        let mem = self.profile_mem.then(profile::mem_stats);
+        let mem = self.profile_mem.then(trace::mem_stats);
         // Fold per-kernel wall times into telemetry histograms so the run
         // report's metrics section and the trace agree.
         let bounds = telemetry::Histogram::default_bounds();
@@ -526,8 +526,8 @@ impl Observability {
         for (name, hist) in &by_kernel {
             telemetry::merge_histogram(&format!("profile.kernel.{name}_us"), hist);
         }
-        let summary = profile::summarize(&prof, peak, mem);
-        let meta = profile::TraceMeta {
+        let summary = trace::summarize(&prof, peak, mem);
+        let meta = trace::TraceMeta {
             tool_version: env!("CARGO_PKG_VERSION").to_string(),
             command: invocation_line(),
             peak_gflops: peak,
@@ -536,10 +536,10 @@ impl Observability {
         };
         let mut file = fs::File::create(path)
             .map_err(|e| CliError::msg(format!("cannot create trace {}: {e}", path.display())))?;
-        std::io::Write::write_all(&mut file, profile::write_chrome_trace(&prof, &meta).as_bytes())
+        std::io::Write::write_all(&mut file, trace::write_chrome_trace(&prof, &meta).as_bytes())
             .map_err(|e| CliError::msg(format!("cannot write trace {}: {e}", path.display())))?;
         if !self.quiet {
-            eprint!("{}", profile::render_summary(&summary));
+            eprint!("{}", trace::render_summary(&summary));
             eprintln!(
                 "trace written to {} (open in chrome://tracing or ui.perfetto.dev)",
                 path.display()
@@ -1157,13 +1157,13 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     };
     let text = fs::read_to_string(Path::new(trace_path))
         .map_err(|e| CliError::msg(format!("cannot read {trace_path}: {e}")))?;
-    let (prof, meta) = profile::read_chrome_trace(&text)
-        .map_err(|e| CliError::msg(format!("{trace_path}: {e}")))?;
-    let summary = profile::summarize(&prof, meta.peak_gflops, meta.mem);
+    let (prof, meta) =
+        trace::read_chrome_trace(&text).map_err(|e| CliError::msg(format!("{trace_path}: {e}")))?;
+    let summary = trace::summarize(&prof, meta.peak_gflops, meta.mem);
     if !observability.quiet && !meta.command.is_empty() {
         println!("trace of `{}` (noodle {})", meta.command, meta.tool_version);
     }
-    print!("{}", profile::render_summary(&summary));
+    print!("{}", trace::render_summary(&summary));
     observability.finish("profile", None, None, None)
 }
 

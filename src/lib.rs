@@ -14,8 +14,8 @@
 //! | [`gan`] | `noodle-gan` | class-conditional GAN amplification + cross-modal imputation |
 //! | [`conformal`] | `noodle-conformal` | Mondrian ICP, p-value combination, prediction regions |
 //! | [`metrics`] | `noodle-metrics` | Brier (+decompositions), ROC/AUC, calibration, radar |
+//! | [`trace`] | `noodle-trace` | trace ids, per-thread event rings, flight and profile views, Chrome-trace export |
 //! | [`telemetry`] | `noodle-telemetry` | spans, counters/histograms, run reports |
-//! | [`profile`] | `noodle-profile` | per-thread profiler, Chrome-trace export, roofline summary |
 //! | [`observe`] | `noodle-observe` | prediction audit logs, coverage/drift monitors |
 //! | [`export`] | `noodle-export` | live /metrics, /monitor and /healthz exposition server |
 //! | [`core`] | `noodle-core` | the end-to-end NOODLE detector |
@@ -54,10 +54,10 @@ pub use noodle_graph as graph;
 pub use noodle_metrics as metrics;
 pub use noodle_nn as nn;
 pub use noodle_observe as observe;
-pub use noodle_profile as profile;
 pub use noodle_serve as serve;
 pub use noodle_tabular as tabular;
 pub use noodle_telemetry as telemetry;
+pub use noodle_trace as trace;
 pub use noodle_verilog as verilog;
 
 pub use noodle_bench_gen::{generate_corpus, Benchmark, CorpusConfig, Label, TrojanSpec};

@@ -1,6 +1,8 @@
 //! The seeded case runner shared by the property suites: the root
 //! package's `tests/property_based.rs`, `noodle-nn`'s
-//! `tests/tensor_properties.rs` and `noodle-gan`'s `tests/gan_properties.rs`.
+//! `tests/tensor_properties.rs`, `noodle-gan`'s `tests/gan_properties.rs`,
+//! `noodle-observe`'s `tests/streaming_equivalence.rs` and
+//! `noodle-export`'s `tests/http_fuzz.rs`.
 //! Each includes this file with `#[path = "…/tests/support/cases.rs"] mod cases;`.
 //!
 //! Case `k` of a property draws its inputs from its own `StdRng` seeded
