@@ -42,6 +42,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use noodle_trace::{Event, EventKind};
+
 /// Thread-count override installed by [`set_thread_override`]
 /// (0 = no override).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -248,6 +250,27 @@ fn ensure_workers(target: usize) {
     }
 }
 
+/// Adds one thread's share of a parallel region, started at `start_ns`
+/// and running `chunks` chunks, to the pool's busy (and, for a worker
+/// that queued since `submit_ns`, wait) time; while profiling, also
+/// records it on the thread's event ring under the ambient trace id.
+fn job_done(start_ns: u64, chunks: usize, submit_ns: Option<u64>) {
+    let busy = noodle_trace::now_ns().saturating_sub(start_ns);
+    BUSY_NS.fetch_add(busy, Ordering::Relaxed);
+    let wait = submit_ns.map(|submit| (submit, start_ns.saturating_sub(submit)));
+    if let Some((_, wait)) = wait {
+        QUEUE_WAIT_NS.fetch_add(wait, Ordering::Relaxed);
+    }
+    if noodle_trace::enabled() {
+        let trace = noodle_trace::current().map_or(0, |c| c.trace_id);
+        let interval = |kind, start, dur| Event::new(kind, "").ids(trace, 0).at(start, dur);
+        if let Some((submit, wait)) = wait {
+            noodle_trace::push(&interval(EventKind::QueueWait, submit, wait));
+        }
+        noodle_trace::push(&interval(EventKind::PoolJob, start_ns, busy).payload(chunks as u64, 0));
+    }
+}
+
 fn worker_loop() {
     let p = pool();
     let mut last_seen = 0u64;
@@ -272,24 +295,7 @@ fn worker_loop() {
             let ran = task.work();
             REGION_DEPTH.with(|d| d.set(d.get() - 1));
             if ran > 0 {
-                let busy = noodle_trace::now_ns().saturating_sub(start_ns);
-                let wait = start_ns.saturating_sub(task.submit_ns);
-                BUSY_NS.fetch_add(busy, Ordering::Relaxed);
-                QUEUE_WAIT_NS.fetch_add(wait, Ordering::Relaxed);
-                noodle_trace::record(
-                    noodle_trace::EventKind::QueueWait,
-                    task.submit_ns,
-                    wait,
-                    0,
-                    0,
-                );
-                noodle_trace::record(
-                    noodle_trace::EventKind::PoolJob,
-                    start_ns,
-                    busy,
-                    ran as u64,
-                    0,
-                );
+                job_done(start_ns, ran, Some(task.submit_ns));
             }
             noodle_trace::swap_current(prev_trace);
         }
@@ -330,15 +336,7 @@ where
             lo = hi;
         }
         if !nested {
-            let busy = noodle_trace::now_ns().saturating_sub(start_ns);
-            BUSY_NS.fetch_add(busy, Ordering::Relaxed);
-            noodle_trace::record(
-                noodle_trace::EventKind::PoolJob,
-                start_ns,
-                busy,
-                chunks as u64,
-                0,
-            );
+            job_done(start_ns, chunks, None);
         }
         return;
     }
@@ -380,9 +378,7 @@ where
     let ran = task.work();
     REGION_DEPTH.with(|d| d.set(d.get() - 1));
     if ran > 0 {
-        let busy = noodle_trace::now_ns().saturating_sub(start_ns);
-        BUSY_NS.fetch_add(busy, Ordering::Relaxed);
-        noodle_trace::record(noodle_trace::EventKind::PoolJob, start_ns, busy, ran as u64, 0);
+        job_done(start_ns, ran, None);
     }
     {
         let mut remaining = task.remaining.lock().unwrap_or_else(|e| e.into_inner());

@@ -1042,15 +1042,11 @@ impl NoodleDetector {
             // design (a micro-batch has no single owner; first-in-chunk is
             // deterministic and cheap to compute when reading a trace).
             let chunk_trace = trace::set_current(request_ctx(chunk[0]));
+            let bytes = (4 * (graphs.len() + tab_raw.len())) as u64;
+            let timer = trace::KernelTimer::start(trace::EventKind::BatchInfer, 0, bytes);
             let predictions =
                 self.conformal_batch(&graphs, &tab_raw, strategy, probes.as_mut(), &mut arena);
-            trace::record(
-                trace::EventKind::BatchInfer,
-                prof_start_ns,
-                trace::now_ns().saturating_sub(prof_start_ns),
-                0,
-                (4 * (graphs.len() + tab_raw.len())) as u64,
-            );
+            drop(timer);
             drop(chunk_trace);
             let batch_us = batch_start.elapsed().as_secs_f64() * 1e6;
             let timing = AuditTiming {

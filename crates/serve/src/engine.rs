@@ -420,6 +420,9 @@ fn accept_loop(
                     .name(format!("noodle-serve-conn-{client}"))
                     .spawn(move || connection(stream, client, ctl, queue, config, monitors));
                 if let Ok(handle) = spawned {
+                    // Forget connections that already ended, so a daemon
+                    // serving many short connections keeps a bounded list.
+                    connections.retain(|h| !h.is_finished());
                     connections.push(handle);
                 }
             }

@@ -59,6 +59,7 @@ pub use span::{format_duration_ns, start_span, SpanGuard, SpanRecord};
 /// through telemetry.
 pub use noodle_trace as trace;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -75,9 +76,9 @@ static RESET_NS: AtomicU64 = AtomicU64::new(0);
 /// are not stored here: they live on the event rings.
 #[derive(Default)]
 pub(crate) struct Registry {
-    pub(crate) counters: std::collections::BTreeMap<String, u64>,
-    pub(crate) gauges: std::collections::BTreeMap<String, f64>,
-    pub(crate) histograms: std::collections::BTreeMap<String, Histogram>,
+    pub(crate) counters: BTreeMap<String, u64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
+    pub(crate) histograms: BTreeMap<String, Histogram>,
 }
 
 /// Whether telemetry is currently collecting. One relaxed atomic load.
@@ -128,10 +129,7 @@ pub(crate) fn with_sink(f: impl FnOnce(&mut dyn Sink)) {
 /// lock is released, so repeated `/metrics` scrapes cannot stall the
 /// instrumented hot paths that share the registry mutex.
 pub fn metrics_snapshot() -> MetricsSnapshot {
-    let (counters, gauges, histograms) = {
-        let reg = registry().lock().expect("telemetry registry poisoned");
-        (reg.counters.clone(), reg.gauges.clone(), reg.histograms.clone())
-    };
+    let (counters, gauges, histograms) = metrics_copy();
     MetricsSnapshot {
         counters,
         gauges,
@@ -146,11 +144,14 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 /// what the rings still retain: at most one ring's capacity of events per
 /// thread. Roots come in completion order.
 pub fn snapshot() -> TelemetrySnapshot {
-    let (counters, gauges, histograms) = {
-        let reg = registry().lock().expect("telemetry registry poisoned");
-        (reg.counters.clone(), reg.gauges.clone(), reg.histograms.clone())
-    };
+    let (counters, gauges, histograms) = metrics_copy();
     TelemetrySnapshot { spans: stage_trees(), counters, gauges, histograms }
+}
+
+/// Copies of the metric maps, taken under the registry lock.
+fn metrics_copy() -> (BTreeMap<String, u64>, BTreeMap<String, f64>, BTreeMap<String, Histogram>) {
+    let reg = registry().lock().expect("telemetry registry poisoned");
+    (reg.counters.clone(), reg.gauges.clone(), reg.histograms.clone())
 }
 
 /// Root spans rebuilt from the rings, closed after the last [`reset`].

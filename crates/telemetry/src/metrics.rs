@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{enabled, registry};
+use crate::{enabled, registry, Registry};
 
 /// Observations a [`Histogram`] retains for its quantiles: the newest
 /// 65,536. Bucket counts, `count`, `sum`, extrema and exemplars stay
@@ -199,32 +199,26 @@ impl Histogram {
     ///
     /// Returns `None` when empty or `q` is outside `(0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.is_empty() || !(q > 0.0 && q <= 1.0) {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        (q > 0.0 && q <= 1.0).then(|| self.sorted()).and_then(|sorted| rank(&sorted, q))
     }
 
     /// The standard p50/p95/p99 summary, or `None` before the first
     /// observation (including histograms restored from pre-quantile
-    /// reports, which carry no raw values).
-    ///
-    /// Sorts the retained observations once and reads all three ranks from
-    /// the sorted copy.
+    /// reports, which carry no raw values). Sorts the retained
+    /// observations once for all three.
     pub fn quantiles(&self) -> Option<Quantiles> {
-        if self.values.is_empty() {
-            return None;
-        }
+        let sorted = self.sorted();
+        Some(Quantiles {
+            p50: rank(&sorted, 0.5)?,
+            p95: rank(&sorted, 0.95)?,
+            p99: rank(&sorted, 0.99)?,
+        })
+    }
+
+    fn sorted(&self) -> Vec<f64> {
         let mut sorted = self.values.clone();
         sorted.sort_unstable_by(f64::total_cmp);
-        let at = |q: f64| {
-            let rank = (q * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
-        Some(Quantiles { p50: at(0.5), p95: at(0.95), p99: at(0.99) })
+        sorted
     }
 
     /// A point-in-time [`HistogramSnapshot`]: bucket counts, totals,
@@ -289,6 +283,12 @@ impl Histogram {
     }
 }
 
+/// The `ceil(q·n)`-th smallest of `sorted`, or `None` when it is empty.
+fn rank(sorted: &[f64], q: f64) -> Option<f64> {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1).copied()
+}
+
 /// A scrape-oriented copy of every metric: counters, gauges and
 /// [`HistogramSnapshot`]s — no spans and no raw observation vectors.
 ///
@@ -319,62 +319,55 @@ pub struct TelemetrySnapshot {
     pub histograms: BTreeMap<String, Histogram>,
 }
 
+/// Applies `f` to the registry under its lock, when telemetry is enabled.
+fn update<R>(f: impl FnOnce(&mut Registry) -> R) {
+    if enabled() {
+        f(&mut registry().lock().expect("telemetry registry poisoned"));
+    }
+}
+
 /// Adds `delta` to the named monotonic counter. No-op when telemetry is
 /// disabled.
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = registry().lock().expect("telemetry registry poisoned");
-    *reg.counters.entry(name.to_string()).or_insert(0) += delta;
+    update(|reg| *reg.counters.entry(name.to_string()).or_insert(0) += delta);
 }
 
 /// Sets the named gauge to `value`. Non-finite values are ignored; no-op
 /// when telemetry is disabled.
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() || !value.is_finite() {
-        return;
+    if value.is_finite() {
+        update(|reg| reg.gauges.insert(name.to_string(), value));
     }
-    let mut reg = registry().lock().expect("telemetry registry poisoned");
-    reg.gauges.insert(name.to_string(), value);
 }
 
 /// Records `value` into the named histogram, creating it with
 /// [`Histogram::default_bounds`] on first use. No-op when telemetry is
 /// disabled.
 pub fn histogram_record(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = registry().lock().expect("telemetry registry poisoned");
-    reg.histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(&Histogram::default_bounds()))
-        .record(value);
+    update(|reg| {
+        reg.histograms
+            .entry(name.to_string())
+            .or_insert_with(|| Histogram::new(&Histogram::default_bounds()))
+            .record(value);
+    });
 }
 
 /// Merges `hist` into the named registry histogram, creating it with the
 /// same bounds on first use (so the merge never panics on a fresh name).
 /// No-op when telemetry is disabled.
 pub fn merge_histogram(name: &str, hist: &Histogram) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = registry().lock().expect("telemetry registry poisoned");
-    reg.histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(&hist.bounds))
-        .merge(hist);
+    update(|reg| {
+        reg.histograms
+            .entry(name.to_string())
+            .or_insert_with(|| Histogram::new(&hist.bounds))
+            .merge(hist);
+    });
 }
 
 /// Creates (or replaces) the named histogram with explicit bucket bounds.
 /// No-op when telemetry is disabled.
 pub fn register_histogram(name: &str, bounds: &[f64]) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = registry().lock().expect("telemetry registry poisoned");
-    reg.histograms.insert(name.to_string(), Histogram::new(bounds));
+    update(|reg| reg.histograms.insert(name.to_string(), Histogram::new(bounds)));
 }
 
 /// RAII timer: on drop, records the elapsed wall-clock time in

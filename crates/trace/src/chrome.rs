@@ -34,39 +34,6 @@ pub struct TraceMeta {
     pub mem: Option<MemStats>,
 }
 
-/// Why a trace file could not be read back.
-#[derive(Debug)]
-pub enum TraceError {
-    /// The file was not valid JSON.
-    Json(serde_json::Error),
-    /// The JSON was missing the Chrome-trace structure we expect.
-    Format(String),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Json(e) => write!(f, "trace is not valid JSON: {e}"),
-            TraceError::Format(msg) => write!(f, "trace format error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Json(e) => Some(e),
-            TraceError::Format(_) => None,
-        }
-    }
-}
-
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceError::Json(e)
-    }
-}
-
 /// Serialises a profile as Chrome Trace Event Format JSON.
 pub fn write_chrome_trace(profile: &Profile, meta: &TraceMeta) -> String {
     let mut events: Vec<Value> = Vec::new();
@@ -113,14 +80,25 @@ fn as_u64_ns(obj: &Map<String, Value>, key: &str) -> u64 {
 /// Parses a Chrome-trace JSON string back into a [`Profile`] and its
 /// [`TraceMeta`]. Only events written by [`write_chrome_trace`] are
 /// required; unknown events are skipped rather than rejected.
-pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), TraceError> {
-    let doc: Value = serde_json::from_str(text)?;
+///
+/// # Errors
+///
+/// A one-line message when `text` is not JSON or lacks the Chrome-trace
+/// structure.
+pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), String> {
+    let invalid = |e: serde_json::Error| format!("trace is not valid JSON: {e}");
+    let doc: Value = serde_json::from_str(text).map_err(invalid)?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_array)
-        .ok_or_else(|| TraceError::Format("missing traceEvents array".into()))?;
-    let meta: TraceMeta =
-        doc.get("otherData").cloned().map(serde_json::from_value).transpose()?.unwrap_or_default();
+        .ok_or("trace format error: missing traceEvents array")?;
+    let meta: TraceMeta = doc
+        .get("otherData")
+        .cloned()
+        .map(serde_json::from_value)
+        .transpose()
+        .map_err(invalid)?
+        .unwrap_or_default();
 
     let mut threads: std::collections::BTreeMap<u32, ThreadProfile> =
         std::collections::BTreeMap::new();
@@ -220,8 +198,8 @@ mod tests {
 
     #[test]
     fn invalid_json_is_rejected() {
-        assert!(matches!(read_chrome_trace("{nope"), Err(TraceError::Json(_))));
-        assert!(matches!(read_chrome_trace("{}"), Err(TraceError::Format(_))));
+        assert!(read_chrome_trace("{nope").unwrap_err().starts_with("trace is not valid JSON"));
+        assert!(read_chrome_trace("{}").unwrap_err().contains("missing traceEvents"));
     }
 
     #[test]

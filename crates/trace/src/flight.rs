@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ring::{rings, Event, EventKind};
+use crate::ring::{rings, Event, EventKind, FLIGHT_CAPACITY};
 use crate::{format_trace_id, now_ns};
 
 /// The kinds the flight view shows; the same enum as every ring event.
@@ -26,9 +26,11 @@ pub fn flight_record(kind: FlightKind, trace_id: u64, span_id: u64, a: u64, b: u
 /// form used in flight bundles and `/debug/trace/<id>`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecordEvent {
-    /// Sequence number within its thread's ring (gaps mean overwritten).
+    /// Sequence number within the ring it was written to; numbered per
+    /// ring, so it repeats across `tid`s.
     pub seq: u64,
-    /// Ring the event was written to (one per recording thread).
+    /// Thread that recorded the event (threads are numbered in the order
+    /// of their first event).
     #[serde(default)]
     pub tid: u32,
     /// Event kind.
@@ -63,9 +65,9 @@ fn hex_or_empty(id: u64) -> String {
     }
 }
 
-/// Snapshots the rings' flight events, ordered by when they were
-/// recorded (an interval when it ended). Safe to call concurrently with
-/// writers; the result holds fully written events only.
+/// Snapshots the newest 4096 flight events across all rings, ordered by
+/// when they were recorded (an interval when it ended). Safe to call
+/// concurrently with writers; the result holds fully written events only.
 pub fn flight_snapshot() -> Vec<FlightRecordEvent> {
     let mut out: Vec<(u64, FlightRecordEvent)> = rings()
         .into_iter()
@@ -89,7 +91,8 @@ pub fn flight_snapshot() -> Vec<FlightRecordEvent> {
         })
         .collect();
     out.sort_by_key(|(end, e)| (*end, e.tid, e.seq));
-    out.into_iter().map(|(_, e)| e).collect()
+    let older = out.len().saturating_sub(FLIGHT_CAPACITY);
+    out.into_iter().skip(older).map(|(_, e)| e).collect()
 }
 
 #[cfg(test)]
@@ -132,6 +135,36 @@ mod tests {
         let ctx = crate::TraceContext::mint();
         crate::push(&Event::new(EventKind::Gemm, "").ids(ctx.trace_id, 0));
         assert!(mine(ctx).is_empty());
+    }
+
+    #[test]
+    fn span_closes_carry_their_duration_in_a() {
+        let ctx = crate::TraceContext::mint();
+        let _t = crate::set_current(ctx);
+        let open = crate::open_span("flight.span");
+        crate::close_span(&open);
+        let close = mine(ctx).into_iter().find(|e| e.kind == EventKind::SpanClose).unwrap();
+        assert_eq!(close.a, close.dur_ns);
+    }
+
+    #[test]
+    fn the_view_keeps_the_newest_events_across_rings() {
+        let ctx = crate::TraceContext::mint();
+        let writers: Vec<_> = (0..2)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for i in 0..3_000 {
+                        flight_record(FlightKind::Request, ctx.trace_id, t, i, 0, "cap");
+                    }
+                })
+            })
+            .collect();
+        writers.into_iter().for_each(|w| w.join().unwrap());
+        let snap = flight_snapshot();
+        assert_eq!(snap.len(), FLIGHT_CAPACITY);
+        let hex = format_trace_id(ctx.trace_id);
+        let newest = snap.iter().filter(|e| e.trace_id == hex && e.a == 2_999);
+        assert_eq!(newest.count(), 2, "each thread's newest event is kept");
     }
 
     #[test]

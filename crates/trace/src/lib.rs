@@ -1,39 +1,26 @@
 //! # noodle-trace
 //!
-//! The NOODLE pipeline's one event path: request-scoped trace contexts,
-//! one fixed-size event type recorded into one lock-free ring per thread,
-//! and the views read from those rings.
+//! The NOODLE pipeline's one event path.
 //!
-//! * [`TraceContext`] — a cheap `Copy` pair of (trace id, span id) minted
-//!   once per detect request (or derived per design inside a batch) and
-//!   carried through every layer: telemetry spans, kernel events, audit
-//!   records and compute-pool child jobs all stamp the ambient context,
-//!   so one 16-hex-digit id joins a design's audit record, its spans and
-//!   its kernels across every output.
-//! * **Ambient slot** — [`current`] / [`set_current`] expose the active
-//!   context through a thread-local `Cell`. The `noodle-compute` pool
-//!   captures the submitter's context at job submission and installs it
-//!   on workers around each chunk, so causality survives the pool
-//!   boundary without touching chunk geometry.
-//! * **Event rings** — every span open, span attribute, span close,
-//!   monitor transition, request summary, pool job and kernel is one
-//!   [`Event`] pushed onto the calling thread's ring ([`push`]): a few
-//!   stores, no lock, no allocation once the thread's ring exists. Each
-//!   ring keeps its newest events and counts the overwritten ones. Span
-//!   and flight events are always on; pool and kernel events only while
-//!   profiling is [`enabled`].
+//! * [`TraceContext`] — a `Copy` (trace id, span id) pair minted once per
+//!   detect request and carried through every layer via the ambient slot
+//!   ([`current`] / [`set_current`]); the compute pool re-installs the
+//!   submitter's context on its workers. One 16-hex-digit id joins a
+//!   design's audit record, spans and kernels.
+//! * **Event rings** — every span open, attribute and close, monitor
+//!   transition, request, pool job and kernel is one fixed-size [`Event`]
+//!   [`push`]ed onto the calling thread's lock-free ring: no lock, no
+//!   allocation once the ring exists. Pool and kernel events are recorded
+//!   only while profiling is [`enabled`].
 //! * **Views, built when read** — [`flight_snapshot`] (flight bundles,
 //!   `/debug/trace/<id>`), [`drain`] (the profile behind `--profile`,
-//!   [`write_chrome_trace`] and [`summarize`]) and, in `noodle-telemetry`,
+//!   [`write_chrome_trace`], [`summarize`]) and, in `noodle-telemetry`,
 //!   the run report's stage tree.
-//! * [`CountingAllocator`] — a drop-in global allocator that (only when
-//!   enabled) counts allocations, bytes and the peak live footprint.
+//! * [`CountingAllocator`] — a global allocator that, when enabled,
+//!   counts allocations, bytes and the peak live footprint.
 //!
-//! Recording only writes timestamps and counters — it never touches RNG
-//! state, chunk boundaries or accumulation order — so pipeline outputs
+//! Recording only writes timestamps and counters, so pipeline outputs
 //! are bit-identical with profiling on or off at any thread count.
-//!
-//! ## Quickstart
 //!
 //! ```
 //! use noodle_trace as trace;
@@ -44,14 +31,9 @@
 //! }
 //! let span = trace::open_span("demo.stage");
 //! trace::close_span(&span);
-//! let prof = trace::drain();
-//! assert!(prof.threads.iter().any(|t| !t.events.is_empty()));
+//! assert!(trace::drain().threads.iter().any(|t| !t.events.is_empty()));
 //! trace::set_enabled(false);
 //! ```
-//!
-//! This crate is a leaf: every other noodle crate may depend on it. It
-//! also owns the process-wide monotonic [`epoch`], so every event lives
-//! on one timeline.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -65,12 +47,12 @@ mod ring;
 mod summary;
 
 pub use alloc::{mem_stats, set_mem_enabled, CountingAllocator, MemStats};
-pub use chrome::{read_chrome_trace, write_chrome_trace, TraceError, TraceMeta};
+pub use chrome::{read_chrome_trace, write_chrome_trace, TraceMeta};
 pub use context::{
     current, format_trace_id, parse_trace_id, set_current, swap_current, ContextGuard, TraceContext,
 };
 pub use flight::{flight_record, flight_snapshot, FlightKind, FlightRecordEvent};
-pub use profile::{drain, record, KernelTimer, Profile, ProfileEvent, ThreadProfile};
+pub use profile::{drain, KernelTimer, Profile, ProfileEvent, ThreadProfile};
 pub use ring::{
     close_span, open_span, push, ring_capacity, rings, span_attr, thread_events_since, Event,
     EventKind, OpenSpan, RingSnapshot, NAME_CAP,

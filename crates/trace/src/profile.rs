@@ -1,30 +1,17 @@
-//! Kernel and pool events, and the profile view drained from the rings.
+//! Kernel timing, and the profile view drained from the rings.
 //!
-//! Kernels and the compute pool record through [`record`] and
-//! [`KernelTimer`], which cost one relaxed load while profiling is off.
-//! [`drain`] turns every ring's interval events (closed spans, requests,
-//! pool jobs, kernels) into a [`Profile`] for the Chrome-trace writer and
-//! the summary.
+//! Kernels record through [`KernelTimer`], which costs one relaxed load
+//! while profiling is off. [`drain`] turns every ring's interval events
+//! (closed spans, requests, pool jobs, kernels) into a [`Profile`] for
+//! the Chrome-trace writer and the summary.
 
 use serde::{Deserialize, Serialize};
 
 use crate::ring::{rings, Event, EventKind};
 use crate::{enabled, now_ns};
 
-/// Records one finished interval event on the calling thread's ring,
-/// stamped with the ambient trace id. No-op (one relaxed load) when
-/// profiling is disabled.
-#[inline]
-pub fn record(kind: EventKind, start_ns: u64, dur_ns: u64, flops: u64, bytes: u64) {
-    if !enabled() {
-        return;
-    }
-    let trace = crate::current().map_or(0, |c| c.trace_id);
-    crate::push(&Event::new(kind, "").ids(trace, 0).at(start_ns, dur_ns).payload(flops, bytes));
-}
-
 /// RAII kernel timer: captures the start timestamp on construction and
-/// records a kernel event on drop. Disarmed (zero work beyond one relaxed
+/// records a kernel event, stamped with the ambient trace id, on drop. Disarmed (zero work beyond one relaxed
 /// load) when profiling is disabled; never allocates in either state
 /// once the thread's ring exists.
 #[must_use = "a kernel timer measures the scope that holds it"]
@@ -50,7 +37,9 @@ impl Drop for KernelTimer {
     fn drop(&mut self) {
         if self.armed {
             let dur = now_ns().saturating_sub(self.start_ns);
-            record(self.kind, self.start_ns, dur, self.flops, self.bytes);
+            let trace = crate::current().map_or(0, |c| c.trace_id);
+            let event = Event::new(self.kind, "").ids(trace, 0).at(self.start_ns, dur);
+            crate::push(&event.payload(self.flops, self.bytes));
         }
     }
 }
@@ -81,11 +70,11 @@ pub struct ProfileEvent {
 /// All intervals recorded by one thread, oldest first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThreadProfile {
-    /// Ring index (0 = first recording thread).
+    /// Thread index (0 = first recording thread).
     pub tid: u32,
-    /// Name of the thread that owns (or last owned) the ring.
+    /// Thread name.
     pub name: String,
-    /// Events the ring overwrote because it wrapped.
+    /// This thread's events its ring overwrote because it wrapped.
     pub dropped: u64,
     /// Completed intervals, oldest first.
     pub events: Vec<ProfileEvent>,
@@ -189,13 +178,11 @@ mod tests {
     fn kernel_events_round_trip_through_drain() {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
-        record(EventKind::Gemm, 5, 10, 1_000, 64);
         {
             let _t = KernelTimer::start(EventKind::GemmBt, 77, 11);
         }
         set_enabled(false);
         let events = all_events();
-        assert!(events.iter().any(|e| e.kind == EventKind::Gemm && e.flops == 1_000));
         assert!(events
             .iter()
             .any(|e| e.kind == EventKind::GemmBt && e.flops == 77 && e.bytes == 11));
@@ -234,9 +221,9 @@ mod tests {
         let ctx = crate::TraceContext::mint();
         {
             let _t = crate::set_current(ctx);
-            record(EventKind::Im2col, 1, 2, 3, 4);
+            let _k = KernelTimer::start(EventKind::Im2col, 3, 4);
         }
-        record(EventKind::Im2col, 5, 6, 7, 8);
+        drop(KernelTimer::start(EventKind::Im2col, 7, 8));
         set_enabled(false);
         let events = all_events();
         assert!(events

@@ -1,28 +1,21 @@
 //! The one event store: a fixed-size `Copy` [`Event`] and one lazily
 //! allocated, lock-free ring per recording thread.
 //!
-//! Every instrumented moment (span open, span attribute, span close,
-//! monitor transition, request summary, pool job, kernel) is one
-//! [`Event`] pushed onto the calling thread's ring. Readers build their
-//! views from the rings when they read: the flight view
-//! ([`crate::flight_snapshot`]), the profile ([`crate::drain`]) and
-//! telemetry's stage tree.
+//! Only the owning thread writes its ring. Write `n` goes to slot
+//! `n % capacity` under a per-slot seqlock (`2n+1` while writing, `2n+2`
+//! when done), then the ring's head is bumped. A reader walks the newest
+//! `capacity` sequence numbers and keeps a slot's copy only if its
+//! sequence read `2n+2` before and after the copy, so a slot being
+//! overwritten is skipped, never surfaced. The ring keeps the newest
+//! events; the ones it overwrote count as `dropped`.
 //!
-//! Concurrency model: only the owning thread writes its ring. Write `n`
-//! goes to slot `n % capacity` under a per-slot seqlock (`2n+1` while
-//! writing, `2n+2` when done), then the ring's head is bumped. A reader
-//! walks the newest `capacity` sequence numbers, copies each slot and
-//! keeps it only if the slot's sequence was `2n+2` before and after the
-//! copy, so a slot being overwritten is skipped, never surfaced. The ring
-//! keeps the newest events; the older ones it overwrote count as
-//! `dropped`.
-//!
-//! Rings are allocated on a thread's first event (zeroed memory, so the
-//! pages of a large profile ring are committed only as they are written)
-//! and registered for readers. When a thread exits, its ring (events and
-//! all) goes to a free list and the next new thread takes it over, so a
-//! daemon that spawns a thread per connection holds as many rings as it
-//! ever had threads at once, not one per connection.
+//! Rings are allocated zeroed on a thread's first event, so the pages of
+//! a large profile ring are committed only as they are written. When a
+//! thread exits its ring goes to a free list and the next new thread
+//! that needs a ring of that size takes it over, so a daemon holds as
+//! many rings as it ever had recording threads at once. The ring notes
+//! the sequence number at each handover, so every retained event stays
+//! credited to the thread that wrote it.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::cell::{Cell, OnceCell, UnsafeCell};
@@ -39,118 +32,98 @@ use serde::{Deserialize, Serialize};
 pub const NAME_CAP: usize = 40;
 
 /// Events a thread's ring keeps when profiling is off: the always-on
-/// flight-recorder depth.
-const FLIGHT_CAPACITY: usize = 4096;
+/// flight-recorder depth, and the most events the flight view returns.
+pub(crate) const FLIGHT_CAPACITY: usize = 4096;
 
 /// Events a thread's ring keeps when it is created while profiling is on.
 const PROFILE_CAPACITY: usize = 1 << 18;
 
-/// What one [`Event`] records. The payload fields `a`, `b` and `dur_ns`
-/// mean different things per kind, as documented on each variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-#[repr(u8)]
-pub enum EventKind {
+/// Declares [`EventKind`] with each variant's stable label.
+macro_rules! event_kinds {
+    ($($(#[doc = $doc:literal])+ $kind:ident => $label:literal,)+) => {
+        /// What one [`Event`] records. The payload fields `a`, `b` and
+        /// `dur_ns` mean different things per kind, as documented on each
+        /// variant.
+        #[derive(
+            Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+        )]
+        #[serde(rename_all = "snake_case")]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[doc = $doc])+ $kind,)+
+        }
+
+        impl EventKind {
+            /// Stable display label; the Chrome-trace event name of pool
+            /// and kernel events, and `span` for closed spans.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $label,)+
+                }
+            }
+
+            /// Inverse of [`EventKind::label`], for trace read-back.
+            pub fn from_label(label: &str) -> Option<Self> {
+                match label {
+                    $($label => Some(EventKind::$kind),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A telemetry span opened (`name` = span name, `depth` = nesting
-    /// depth on its thread, 0 for a root).
-    SpanOpen = 0,
+    /// depth on its thread, 0 for a root). Discriminant 0, so a zeroed
+    /// slot holds a valid event.
+    SpanOpen => "span_open",
     /// One key/value attribute of the span opened just before it on the
     /// same thread at the same `depth` (`name` = key then value,
     /// `a` = key length in bytes).
-    SpanAttr,
-    /// A telemetry span closed (`t_ns` = its start, `dur_ns` = its
+    SpanAttr => "span_attr",
+    /// A telemetry span closed (`t_ns` = its start, `dur_ns` and `a` = its
     /// duration, `depth` as at open).
-    SpanClose,
+    SpanClose => "span",
     /// The streaming monitors' overall health changed
     /// (`a` = from, `b` = to; 0 healthy, 1 warn, 2 alert).
-    MonitorTransition,
+    MonitorTransition => "monitor_transition",
     /// A detect request completed (`name` = design, `a` = request index
     /// within the call, `b` = 1 if flagged infected; `t_ns`/`dur_ns` =
     /// its micro-batch's start and per-design share when known).
-    Request,
+    Request => "request",
     /// Time between a parallel region's submission and a worker claiming
     /// its first chunk of it.
-    QueueWait,
+    QueueWait => "queue_wait",
     /// One thread's execution share of one parallel region (`a` = chunks
     /// the thread ran).
-    PoolJob,
+    PoolJob => "pool_job",
     /// Cache-blocked `a @ b` GEMM (`a` = FLOPs, `b` = bytes, as for every
     /// kernel kind below).
-    Gemm,
+    Gemm => "gemm",
     /// `a @ b^T` GEMM.
-    GemmBt,
+    GemmBt => "gemm_bt",
     /// `a^T @ b` GEMM.
-    GemmAt,
+    GemmAt => "gemm_at",
     /// Int8 `a @ b^T` GEMM with i32 accumulation (quantized serving).
-    GemmI8,
+    GemmI8 => "gemm_i8",
     /// im2col patch unrolling (1-D or 2-D).
-    Im2col,
+    Im2col => "im2col",
     /// col2im gradient scatter (1-D or 2-D).
-    Col2im,
+    Col2im => "col2im",
     /// Convolution layer forward (train or infer path, 1-D or 2-D).
-    ConvFwd,
+    ConvFwd => "conv_fwd",
     /// Convolution layer backward.
-    ConvBwd,
+    ConvBwd => "conv_bwd",
     /// Dense layer forward (train or infer path).
-    DenseFwd,
+    DenseFwd => "dense_fwd",
     /// Dense layer backward.
-    DenseBwd,
+    DenseBwd => "dense_bwd",
     /// One micro-batched inference pass through the serving engine.
-    BatchInfer,
+    BatchInfer => "batch_infer",
 }
 
-const KINDS: [EventKind; 18] = [
-    EventKind::SpanOpen,
-    EventKind::SpanAttr,
-    EventKind::SpanClose,
-    EventKind::MonitorTransition,
-    EventKind::Request,
-    EventKind::QueueWait,
-    EventKind::PoolJob,
-    EventKind::Gemm,
-    EventKind::GemmBt,
-    EventKind::GemmAt,
-    EventKind::GemmI8,
-    EventKind::Im2col,
-    EventKind::Col2im,
-    EventKind::ConvFwd,
-    EventKind::ConvBwd,
-    EventKind::DenseFwd,
-    EventKind::DenseBwd,
-    EventKind::BatchInfer,
-];
-
 impl EventKind {
-    /// Stable display label; the Chrome-trace event name of pool and
-    /// kernel events, and `span` for closed spans.
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::SpanOpen => "span_open",
-            EventKind::SpanAttr => "span_attr",
-            EventKind::SpanClose => "span",
-            EventKind::MonitorTransition => "monitor_transition",
-            EventKind::Request => "request",
-            EventKind::QueueWait => "queue_wait",
-            EventKind::PoolJob => "pool_job",
-            EventKind::Gemm => "gemm",
-            EventKind::GemmBt => "gemm_bt",
-            EventKind::GemmAt => "gemm_at",
-            EventKind::GemmI8 => "gemm_i8",
-            EventKind::Im2col => "im2col",
-            EventKind::Col2im => "col2im",
-            EventKind::ConvFwd => "conv_fwd",
-            EventKind::ConvBwd => "conv_bwd",
-            EventKind::DenseFwd => "dense_fwd",
-            EventKind::DenseBwd => "dense_bwd",
-            EventKind::BatchInfer => "batch_infer",
-        }
-    }
-
-    /// Inverse of [`EventKind::label`], for trace read-back.
-    pub fn from_label(label: &str) -> Option<Self> {
-        KINDS.into_iter().find(|k| k.label() == label)
-    }
-
     /// Chrome-trace category: groups the timeline legend and lets the
     /// offline reader recover the kind.
     pub fn category(self) -> &'static str {
@@ -243,10 +216,15 @@ impl Event {
             b: 0,
             name: [0; NAME_CAP],
         };
-        let mut w = Inline { buf: &mut event.name, len: 0 };
-        let _ = w.write_str(name);
-        event.name_len = w.len as u8;
+        event.append(format_args!("{name}"));
         event
+    }
+
+    /// Formats `args` onto the end of the inline name, truncated.
+    fn append(&mut self, args: fmt::Arguments<'_>) {
+        let mut w = Inline { buf: &mut self.name, len: usize::from(self.name_len) };
+        let _ = w.write_fmt(args);
+        self.name_len = w.len as u8;
     }
 
     /// Sets the trace and root-span ids.
@@ -273,7 +251,7 @@ impl Event {
     /// The inline name.
     pub fn name(&self) -> &str {
         // Always valid: `Inline` only ever cuts at character boundaries.
-        std::str::from_utf8(&self.name[..self.name_len as usize]).unwrap_or("")
+        std::str::from_utf8(&self.name[..usize::from(self.name_len)]).unwrap_or("")
     }
 
     /// A `SpanAttr` event's key and value.
@@ -298,11 +276,19 @@ struct Slot {
     event: UnsafeCell<Event>,
 }
 
-/// One thread's ring. Only the owning thread writes `slots` and `head`.
-struct Ring {
+/// A thread that wrote to a ring, from the sequence number of its first
+/// event there.
+#[derive(Clone)]
+struct Writer {
+    from: u64,
     tid: u32,
-    /// Name of the thread that owns (or last owned) the ring.
-    thread: Mutex<String>,
+    name: String,
+}
+
+/// One ring. Only the thread that holds it writes `slots` and `head`.
+struct Ring {
+    /// Threads whose events the ring may still hold, oldest first.
+    writers: Mutex<Vec<Writer>>,
     /// Events ever written.
     head: AtomicU64,
     slots: Box<[Slot]>,
@@ -313,23 +299,39 @@ struct Ring {
 // whose sequence was odd or moved.
 unsafe impl Sync for Ring {}
 
-fn zeroed_slots(capacity: usize) -> Box<[Slot]> {
-    let layout = Layout::array::<Slot>(capacity).expect("ring capacity overflows");
-    // SAFETY: `capacity > 0`, so the layout is non-zero-sized; an all-zero
-    // `Slot` is valid (sequence 0, `EventKind::SpanOpen` is discriminant 0
-    // and every other field is an integer or byte array), and the pointer
-    // comes from the global allocator with exactly this layout, as
-    // `Box<[Slot]>` will free it.
-    unsafe {
-        let ptr = alloc_zeroed(layout).cast::<Slot>();
-        if ptr.is_null() {
-            handle_alloc_error(layout);
-        }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
-    }
-}
-
 impl Ring {
+    fn new(capacity: usize, writer: Writer) -> Self {
+        let layout = Layout::array::<Slot>(capacity).expect("ring capacity overflows");
+        // SAFETY: `capacity > 0`, so the layout is non-zero-sized; an
+        // all-zero `Slot` is valid (sequence 0, `EventKind::SpanOpen` is
+        // discriminant 0 and every other field is an integer or byte
+        // array), and the pointer comes from the global allocator with
+        // exactly this layout, as `Box<[Slot]>` will free it.
+        let slots = unsafe {
+            let ptr = alloc_zeroed(layout).cast::<Slot>();
+            if ptr.is_null() {
+                handle_alloc_error(layout);
+            }
+            Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
+        };
+        Ring { writers: Mutex::new(vec![writer]), head: AtomicU64::new(0), slots }
+    }
+
+    fn writers(&self) -> MutexGuard<'_, Vec<Writer>> {
+        self.writers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hands the ring to a new thread, forgetting the writers none of
+    /// whose events are still retained.
+    fn hand_over(&self, tid: u32, name: String) {
+        let from = self.head.load(Ordering::Relaxed);
+        let oldest = from.saturating_sub(self.slots.len() as u64);
+        let mut writers = self.writers();
+        let gone = writers.iter().skip(1).take_while(|w| w.from <= oldest).count();
+        writers.drain(..gone);
+        writers.push(Writer { from, tid, name });
+    }
+
     fn push(&self, event: &Event) -> u64 {
         let n = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
@@ -370,19 +372,18 @@ impl Ring {
     }
 }
 
-/// Every ring ever allocated, and the rings of exited threads waiting to
-/// be taken over.
+/// Every ring ever allocated, the rings of exited threads waiting to be
+/// taken over, and how many threads have recorded.
 struct Registry {
     rings: Vec<Arc<Ring>>,
     free: Vec<Arc<Ring>>,
+    threads: u32,
 }
 
 fn registry() -> MutexGuard<'static, Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| Mutex::new(Registry { rings: Vec::new(), free: Vec::new() }))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    static REGISTRY: Mutex<Registry> =
+        Mutex::new(Registry { rings: Vec::new(), free: Vec::new(), threads: 0 });
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Events a ring created now keeps: `NOODLE_FLIGHT_CAPACITY` when set
@@ -398,39 +399,35 @@ pub fn ring_capacity() -> usize {
     fixed.unwrap_or(if crate::enabled() { PROFILE_CAPACITY } else { FLIGHT_CAPACITY })
 }
 
-fn thread_name(tid: u32) -> String {
-    std::thread::current().name().map_or_else(|| format!("thread-{tid}"), str::to_owned)
-}
-
-/// Takes over an exited thread's ring, or allocates and registers one.
+/// Takes over an exited thread's ring of the current capacity, or
+/// allocates and registers one.
 fn acquire() -> Arc<Ring> {
+    let capacity = ring_capacity();
     let mut reg = registry();
-    if let Some(ring) = reg.free.pop() {
-        *ring.thread.lock().unwrap_or_else(|e| e.into_inner()) = thread_name(ring.tid);
+    let tid = reg.threads;
+    reg.threads += 1;
+    let name = std::thread::current().name().map_or_else(|| format!("thread-{tid}"), str::to_owned);
+    if let Some(i) = reg.free.iter().position(|r| r.slots.len() == capacity) {
+        let ring = reg.free.swap_remove(i);
+        ring.hand_over(tid, name);
         return ring;
     }
-    let tid = reg.rings.len() as u32;
-    let ring = Arc::new(Ring {
-        tid,
-        thread: Mutex::new(thread_name(tid)),
-        head: AtomicU64::new(0),
-        slots: zeroed_slots(ring_capacity()),
-    });
+    let ring = Arc::new(Ring::new(capacity, Writer { from: 0, tid, name }));
     reg.rings.push(Arc::clone(&ring));
     ring
 }
 
 /// Hands the ring to the free list when its thread exits.
-struct Owner(Arc<Ring>);
+struct Held(Arc<Ring>);
 
-impl Drop for Owner {
+impl Drop for Held {
     fn drop(&mut self) {
         registry().free.push(Arc::clone(&self.0));
     }
 }
 
 struct Local {
-    ring: OnceCell<Owner>,
+    ring: OnceCell<Held>,
     /// Spans open on this thread.
     depth: Cell<u16>,
 }
@@ -446,49 +443,60 @@ thread_local! {
 /// its thread-locals.
 #[inline]
 pub fn push(event: &Event) -> u64 {
-    LOCAL.try_with(|l| l.ring.get_or_init(|| Owner(acquire())).0.push(event)).unwrap_or(u64::MAX)
+    LOCAL.try_with(|l| l.ring.get_or_init(|| Held(acquire())).0.push(event)).unwrap_or(u64::MAX)
 }
 
 /// The calling thread's retained events with sequence number `>= seq`,
 /// oldest first.
 pub fn thread_events_since(seq: u64) -> Vec<Event> {
     LOCAL
-        .try_with(|l| l.ring.get().map(|o| o.0.read(seq).1))
+        .try_with(|l| l.ring.get().map(|h| h.0.read(seq).1))
         .ok()
         .flatten()
         .map_or_else(Vec::new, |events| events.into_iter().map(|(_, e)| e).collect())
 }
 
-/// One ring as read: its thread, how many events it overwrote, and the
-/// events it still holds, oldest first, with their sequence numbers.
+/// One recording thread's events as read from its ring.
 #[derive(Clone, Debug)]
 pub struct RingSnapshot {
-    /// Ring index, in allocation order (0 = the first recording thread).
+    /// Thread index, in order of each thread's first event (0 = the
+    /// first recording thread).
     pub tid: u32,
-    /// Name of the thread that owns (or last owned) the ring.
+    /// Thread name.
     pub thread: String,
-    /// Events overwritten because the ring wrapped.
+    /// This thread's events its ring overwrote.
     pub dropped: u64,
-    /// Retained events as `(sequence number, event)`, oldest first.
+    /// Retained events as `(sequence number in the ring, event)`, oldest
+    /// first.
     pub events: Vec<(u64, Event)>,
 }
 
-/// Reads every ring. Safe to call while their threads write: each result
-/// is a set of fully written events.
+/// Reads every ring, one snapshot per thread whose events a ring still
+/// holds. Safe to call while their threads write: each result is a set
+/// of fully written events.
 pub fn rings() -> Vec<RingSnapshot> {
     let rings = registry().rings.clone();
-    rings
-        .iter()
-        .map(|ring| {
-            let (dropped, events) = ring.read(0);
-            RingSnapshot {
-                tid: ring.tid,
-                thread: ring.thread.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-                dropped,
-                events,
+    let mut out = Vec::new();
+    for ring in &rings {
+        // Events first: every thread that wrote one of them is then
+        // already listed among the writers.
+        let (dropped, mut events) = ring.read(0);
+        let mut end = u64::MAX;
+        for writer in ring.writers().clone().into_iter().rev() {
+            let mine = events.split_off(events.partition_point(|(n, _)| *n < writer.from));
+            let dropped = dropped.min(end).saturating_sub(writer.from);
+            end = writer.from;
+            if !mine.is_empty() || dropped > 0 {
+                out.push(RingSnapshot {
+                    tid: writer.tid,
+                    thread: writer.name,
+                    dropped,
+                    events: mine,
+                });
             }
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 /// A span opened with [`open_span`]: what [`close_span`] needs to record
@@ -499,9 +507,6 @@ pub struct OpenSpan {
     pub seq: u64,
     /// Nesting depth (0 = root).
     pub depth: u16,
-    start_ns: u64,
-    trace_id: u64,
-    span_id: u64,
     event: Event,
 }
 
@@ -511,33 +516,32 @@ pub struct OpenSpan {
 pub fn open_span(name: &str) -> OpenSpan {
     let depth = LOCAL.try_with(|l| l.depth.replace(l.depth.get().saturating_add(1))).unwrap_or(0);
     let (trace_id, span_id) = crate::current().map_or((0, 0), |c| (c.trace_id, c.span_id));
-    let start_ns = crate::now_ns();
-    let mut event = Event::new(EventKind::SpanOpen, name).ids(trace_id, span_id).at(start_ns, 0);
+    let mut event =
+        Event::new(EventKind::SpanOpen, name).ids(trace_id, span_id).at(crate::now_ns(), 0);
     event.depth = depth;
-    let seq = push(&event);
-    OpenSpan { seq, depth, start_ns, trace_id, span_id, event }
+    OpenSpan { seq: push(&event), depth, event }
 }
 
 /// Records one key/value attribute of `span`; `value` is formatted into
 /// the inline name after `key`, without allocating.
 pub fn span_attr(span: &OpenSpan, key: &str, value: &dyn fmt::Display) {
-    let mut event = Event::new(EventKind::SpanAttr, key).ids(span.trace_id, span.span_id);
+    let mut event =
+        Event::new(EventKind::SpanAttr, key).ids(span.event.trace_id, span.event.span_id);
     event.depth = span.depth;
     event.a = u64::from(event.name_len);
-    let mut w = Inline { buf: &mut event.name, len: event.name_len as usize };
-    let _ = write!(w, "{value}");
-    event.name_len = w.len as u8;
+    event.append(format_args!("{value}"));
     push(&event);
 }
 
 /// Records the `SpanClose` event of `span` (start and duration) and
 /// restores this thread's depth. One ring write.
 pub fn close_span(span: &OpenSpan) {
-    let dur_ns = crate::now_ns().saturating_sub(span.start_ns);
-    let mut event = span.event;
-    event.kind = EventKind::SpanClose;
-    event.dur_ns = dur_ns;
-    push(&event);
+    let dur_ns = crate::now_ns().saturating_sub(span.event.t_ns);
+    push(
+        &Event { kind: EventKind::SpanClose, ..span.event }
+            .at(span.event.t_ns, dur_ns)
+            .payload(dur_ns, 0),
+    );
     let _ = LOCAL.try_with(|l| l.depth.set(span.depth));
 }
 
@@ -554,14 +558,13 @@ mod tests {
         assert_eq!(Event::new(EventKind::Request, &straddle).name(), "y".repeat(NAME_CAP - 2));
     }
 
+    fn writer(from: u64, tid: u32) -> Writer {
+        Writer { from, tid, name: format!("t{tid}") }
+    }
+
     #[test]
     fn a_wrapped_ring_keeps_the_newest_events_and_counts_the_rest() {
-        let ring = Ring {
-            tid: 0,
-            thread: Mutex::new("t".into()),
-            head: AtomicU64::new(0),
-            slots: zeroed_slots(4),
-        };
+        let ring = Ring::new(4, writer(0, 0));
         for i in 0..7 {
             ring.push(&Event::new(EventKind::Gemm, "").payload(i, 0));
         }
@@ -570,6 +573,22 @@ mod tests {
         let kept: Vec<(u64, u64)> = events.iter().map(|(n, e)| (*n, e.a)).collect();
         assert_eq!(kept, vec![(3, 3), (4, 4), (5, 5), (6, 6)]);
         assert_eq!(ring.read(5).1.len(), 2);
+    }
+
+    #[test]
+    fn a_handover_forgets_only_writers_whose_events_are_all_overwritten() {
+        let ring = Ring::new(4, writer(0, 0));
+        ring.push(&Event::new(EventKind::Gemm, ""));
+        ring.hand_over(1, "t1".into());
+        for _ in 0..3 {
+            ring.push(&Event::new(EventKind::Gemm, ""));
+        }
+        ring.hand_over(2, "t2".into());
+        let tids = |ring: &Ring| ring.writers().iter().map(|w| (w.from, w.tid)).collect::<Vec<_>>();
+        assert_eq!(tids(&ring), [(0, 0), (1, 1), (4, 2)]);
+        ring.push(&Event::new(EventKind::Gemm, ""));
+        ring.hand_over(3, "t3".into());
+        assert_eq!(tids(&ring), [(1, 1), (4, 2), (5, 3)]);
     }
 
     #[test]
@@ -595,6 +614,7 @@ mod tests {
         assert_eq!(events[1].attr(), ("files", "12"));
         assert_eq!(events[4].name(), "outer");
         assert_eq!(events[4].t_ns, events[0].t_ns);
+        assert_eq!(events[4].a, events[4].dur_ns, "the duration is also in `a`, as it always was");
         assert!(events[4].end_ns() >= events[3].end_ns());
         // The next span opens at the depth `outer` had.
         let again = open_span("again");
@@ -603,18 +623,35 @@ mod tests {
     }
 
     #[test]
-    fn an_exited_threads_events_stay_readable() {
-        std::thread::spawn(|| {
-            push(&Event::new(EventKind::Request, "handover"));
-        })
-        .join()
-        .unwrap();
-        assert!(rings().iter().any(|r| r.events.iter().any(|(_, e)| e.name() == "handover")));
+    fn an_exited_threads_events_stay_credited_to_it() {
+        let spawn = |name: &str| {
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn({
+                    let name = name.to_owned();
+                    move || push(&Event::new(EventKind::Request, &name))
+                })
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        spawn("ring.test.first");
+        spawn("ring.test.second");
+        for name in ["ring.test.first", "ring.test.second"] {
+            let owner: Vec<String> = rings()
+                .into_iter()
+                .filter(|r| r.events.iter().any(|(_, e)| e.name() == name))
+                .map(|r| r.thread)
+                .collect();
+            assert_eq!(owner, [name]);
+        }
     }
 
     #[test]
     fn labels_round_trip() {
-        for kind in KINDS {
+        for kind in
+            [EventKind::SpanOpen, EventKind::SpanClose, EventKind::PoolJob, EventKind::BatchInfer]
+        {
             assert_eq!(EventKind::from_label(kind.label()), Some(kind));
         }
         assert_eq!(EventKind::from_label("nope"), None);

@@ -11,8 +11,8 @@
 
 use noodle_telemetry as telemetry;
 use noodle_trace::{
-    flight_record, mem_stats, record, set_enabled, set_mem_enabled, CountingAllocator, EventKind,
-    FlightKind, KernelTimer, TraceContext,
+    flight_record, mem_stats, ring_capacity, set_enabled, set_mem_enabled, CountingAllocator,
+    Event, EventKind, FlightKind, KernelTimer, TraceContext,
 };
 
 #[global_allocator]
@@ -60,7 +60,6 @@ fn disabled_hooks_allocate_nothing() {
     telemetry::set_enabled(false);
     let n = allocations(|| {
         for i in 0..1_000u64 {
-            record(EventKind::Gemm, i, 1, 1_000, 64);
             let _t = KernelTimer::start(EventKind::DenseFwd, 2_048, 128);
             let _s = telemetry::span!("disabled.span", index = i);
         }
@@ -84,7 +83,7 @@ fn warm_kernel_events_allocate_nothing() {
     set_enabled(true);
     let n = allocations(|| {
         for i in 0..1_000u64 {
-            record(EventKind::Gemm, i, 1, 1_000, 64);
+            noodle_trace::push(&Event::new(EventKind::Gemm, "").at(i, 1).payload(1_000, 64));
             let _t = KernelTimer::start(EventKind::DenseFwd, 2_048, 128);
         }
     });
@@ -114,19 +113,32 @@ fn warm_spans_allocate_nothing() {
 }
 
 /// A thread's ring outlives the thread and is taken over by the next new
-/// thread, so a thread per connection never means a ring per connection.
+/// thread, so a thread per connection never means a ring per connection;
+/// each thread's events stay credited to it.
 fn exited_threads_hand_their_rings_on() {
-    let spawn_and_record = |name: &'static str| {
-        std::thread::spawn(move || flight_record(FlightKind::Request, 0, 0, 0, 0, name))
+    let spawn_and_record = |name: &str| {
+        std::thread::Builder::new()
+            .name(name.to_owned())
+            .spawn(|| flight_record(FlightKind::Request, 0, 0, 0, 0, "handover"))
+            .unwrap()
             .join()
             .unwrap();
     };
     spawn_and_record("first.thread");
-    let rings = noodle_trace::rings().len();
+    set_mem_enabled(true);
+    let before = mem_stats().allocated_bytes;
     for _ in 0..10 {
         spawn_and_record("later.thread");
     }
-    let all = noodle_trace::rings();
-    assert_eq!(all.len(), rings, "exited threads' rings are reused");
-    assert!(all.iter().any(|r| r.events.iter().any(|(_, e)| e.name() == "first.thread")));
+    let bytes = mem_stats().allocated_bytes - before;
+    set_mem_enabled(false);
+    let ring_bytes = (ring_capacity() * std::mem::size_of::<Event>()) as u64;
+    assert!(bytes < ring_bytes, "ten short threads allocated {bytes} bytes: rings not reused");
+    let threads: Vec<String> = noodle_trace::rings()
+        .into_iter()
+        .filter(|r| r.events.iter().any(|(_, e)| e.name() == "handover"))
+        .map(|r| r.thread)
+        .collect();
+    assert_eq!(threads.len(), 11, "{threads:?}");
+    assert_eq!(threads.iter().filter(|t| *t == "first.thread").count(), 1, "{threads:?}");
 }
