@@ -45,9 +45,8 @@ mod sink;
 mod span;
 
 pub use metrics::{
-    counter_add, gauge_set, histogram_record, merge_histogram, register_histogram, time_histogram,
-    Exemplar, Histogram, HistogramSnapshot, MetricsSnapshot, Quantiles, TelemetrySnapshot,
-    TimerGuard,
+    counter_add, gauge_set, histogram_record, time_histogram, Exemplar, Histogram,
+    HistogramSnapshot, MetricsSnapshot, Quantiles, TelemetrySnapshot, TimerGuard,
 };
 pub use report::{
     CorpusSummary, EvaluationSummary, ReportError, RunContext, RunReport, SCHEMA_VERSION,
@@ -159,13 +158,7 @@ fn stage_trees() -> Vec<SpanRecord> {
     let since = RESET_NS.load(Ordering::Relaxed);
     let mut roots: Vec<SpanRecord> = trace::rings()
         .iter()
-        .flat_map(|ring| {
-            let mut trees = span::SpanTrees::default();
-            for (_, event) in &ring.events {
-                trees.feed(event);
-            }
-            trees.roots
-        })
+        .flat_map(|ring| span::SpanTrees::of(&ring.events).roots)
         .filter(|root| root.start_ns + root.duration_ns > since)
         .collect();
     roots.sort_by_key(|root| root.start_ns + root.duration_ns);

@@ -179,16 +179,6 @@ impl Histogram {
         }
     }
 
-    /// The retained observations, oldest first.
-    fn window(&self) -> impl Iterator<Item = f64> + '_ {
-        let split = if self.values.len() < QUANTILE_WINDOW {
-            0
-        } else {
-            (self.count % QUANTILE_WINDOW as u64) as usize
-        };
-        self.values[split..].iter().chain(&self.values[..split]).copied()
-    }
-
     /// Mean of the observations, or `None` before the first one.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
@@ -235,50 +225,6 @@ impl Histogram {
             max: self.max,
             quantiles: self.quantiles(),
             exemplars: self.exemplars.clone(),
-        }
-    }
-
-    /// Folds `other` into `self`: bucket counts add elementwise, totals
-    /// and extrema combine, and the retained observations concatenate
-    /// (`other`'s counted as the newer) and keep the newest
-    /// [`QUANTILE_WINDOW`] — so while both fit, quantiles of the merged
-    /// histogram equal quantiles of recording every observation into one
-    /// histogram. Used to fold per-thread kernel histograms into the
-    /// global registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bucket bounds.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "Histogram::merge requires identical bucket bounds");
-        let mut values: Vec<f64> = self.window().chain(other.window()).collect();
-        values.drain(..values.len().saturating_sub(QUANTILE_WINDOW));
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        if values.len() == QUANTILE_WINDOW {
-            values.rotate_right((self.count % QUANTILE_WINDOW as u64) as usize);
-        }
-        self.values = values;
-        if other.exemplars.iter().any(Option::is_some) {
-            if self.exemplars.len() != self.counts.len() {
-                self.exemplars.resize(self.counts.len(), None);
-            }
-            for (i, ex) in other.exemplars.iter().enumerate() {
-                if ex.is_some() {
-                    self.exemplars[i] = *ex;
-                }
-            }
         }
     }
 }
@@ -350,24 +296,6 @@ pub fn histogram_record(name: &str, value: f64) {
             .or_insert_with(|| Histogram::new(&Histogram::default_bounds()))
             .record(value);
     });
-}
-
-/// Merges `hist` into the named registry histogram, creating it with the
-/// same bounds on first use (so the merge never panics on a fresh name).
-/// No-op when telemetry is disabled.
-pub fn merge_histogram(name: &str, hist: &Histogram) {
-    update(|reg| {
-        reg.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(&hist.bounds))
-            .merge(hist);
-    });
-}
-
-/// Creates (or replaces) the named histogram with explicit bucket bounds.
-/// No-op when telemetry is disabled.
-pub fn register_histogram(name: &str, bounds: &[f64]) {
-    update(|reg| reg.histograms.insert(name.to_string(), Histogram::new(bounds)));
 }
 
 /// RAII timer: on drop, records the elapsed wall-clock time in
@@ -479,32 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_quantiles_match_single_histogram_recording() {
-        let bounds = Histogram::default_bounds();
-        // Record 1..=300 split across three per-thread histograms (strided
-        // so each shard sees a different value range) and into one
-        // reference histogram.
-        let mut reference = Histogram::new(&bounds);
-        let mut shards: Vec<Histogram> = (0..3).map(|_| Histogram::new(&bounds)).collect();
-        for i in 0..300u32 {
-            let v = ((i * 101) % 300 + 1) as f64;
-            reference.record(v);
-            shards[(i % 3) as usize].record(v);
-        }
-        let mut merged = shards.remove(0);
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        assert_eq!(merged.count, reference.count);
-        assert_eq!(merged.counts, reference.counts);
-        assert_eq!(merged.sum, reference.sum);
-        assert_eq!(merged.min, reference.min);
-        assert_eq!(merged.max, reference.max);
-        let (m, r) = (merged.quantiles().unwrap(), reference.quantiles().unwrap());
-        assert_eq!((m.p50, m.p95, m.p99), (r.p50, r.p95, r.p99));
-    }
-
-    #[test]
     fn quantiles_cover_the_newest_window_and_counts_stay_cumulative() {
         const N: u64 = 200_000;
         let value = |i: u64| ((i * 7_919) % N) as f64;
@@ -523,39 +425,12 @@ mod tests {
         }
         assert_eq!(h.quantiles(), last.quantiles());
         assert_eq!(h.quantile(0.25), last.quantile(0.25));
-        assert!(h.window().eq(last.window()));
-
-        // Merging keeps the newest window of `self` then `other`.
-        let (mut a, mut b) =
-            (Histogram::new(&Histogram::default_bounds()), Histogram::new(&h.bounds));
-        for i in 0..N {
-            if i < N / 2 { &mut a } else { &mut b }.record(value(i));
-        }
-        a.merge(&b);
-        assert_eq!(a.count, N);
-        assert!(a.window().eq(h.window()));
-        a.record(1.5);
-        h.record(1.5);
-        assert!(a.window().eq(h.window()));
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_the_other() {
-        let mut a = Histogram::new(&[1.0, 2.0]);
-        let mut b = Histogram::new(&[1.0, 2.0]);
-        b.record(1.5);
-        a.merge(&b);
-        assert_eq!(a.count, 1);
-        assert_eq!(a.min, Some(1.5));
-        assert_eq!(a.max, Some(1.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "identical bucket bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(&[1.0]);
-        let b = Histogram::new(&[2.0]);
-        a.merge(&b);
+        assert_eq!(h.sorted(), last.sorted());
+        // The ring's oldest retained value sits at `count % window`.
+        assert_eq!(
+            h.values[(N % QUANTILE_WINDOW as u64) as usize],
+            value(N - QUANTILE_WINDOW as u64)
+        );
     }
 
     #[test]
@@ -621,11 +496,6 @@ mod tests {
         assert_eq!(h.exemplars[0], None);
         assert_eq!(h.exemplars[1], Some(Exemplar { value: 5.0, trace_id: ctx.trace_id }));
         assert_eq!(h.exemplars[2], None);
-
-        // Merge adopts the other shard's exemplars where present.
-        let mut empty = Histogram::new(&[1.0, 10.0]);
-        empty.merge(&h);
-        assert_eq!(empty.exemplars[1], Some(Exemplar { value: 5.0, trace_id: ctx.trace_id }));
 
         // Snapshot carries them through to scrape rendering.
         let snap = h.snapshot();

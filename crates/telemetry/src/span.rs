@@ -117,10 +117,7 @@ impl Drop for SpanGuard {
 /// The record of the span `open` that just closed on this thread, rebuilt
 /// from this thread's ring: everything from its open event on.
 fn closed_record(open: &OpenSpan) -> Option<SpanRecord> {
-    let mut trees = SpanTrees::default();
-    for event in trace::thread_events_since(open.seq) {
-        trees.feed(&event);
-    }
+    let mut trees = SpanTrees::of(&trace::thread_events_since(open.seq));
     if open.depth == 0 {
         trees.roots.pop()
     } else {
@@ -128,7 +125,7 @@ fn closed_record(open: &OpenSpan) -> Option<SpanRecord> {
     }
 }
 
-/// Rebuilds span trees from one thread's events, fed oldest first.
+/// Span trees rebuilt from one thread's events, oldest first.
 ///
 /// A close event carries its span's name, start, duration and depth, so
 /// a span whose open the ring already overwrote still yields a record
@@ -144,7 +141,15 @@ pub(crate) struct SpanTrees {
 }
 
 impl SpanTrees {
-    pub(crate) fn feed(&mut self, event: &Event) {
+    pub(crate) fn of(events: &[Event]) -> Self {
+        let mut trees = SpanTrees::default();
+        for event in events {
+            trees.feed(event);
+        }
+        trees
+    }
+
+    fn feed(&mut self, event: &Event) {
         let depth = usize::from(event.depth);
         match event.kind {
             EventKind::SpanOpen => {
@@ -171,11 +176,7 @@ impl SpanTrees {
                     start_ns: event.t_ns,
                     duration_ns: event.dur_ns,
                     children: self.pending.drain(first_child..).map(|(_, r)| r).collect(),
-                    trace_id: if event.trace_id == 0 {
-                        String::new()
-                    } else {
-                        trace::format_trace_id(event.trace_id)
-                    },
+                    trace_id: trace::format_trace_id(event.trace_id),
                 };
                 if depth == 0 {
                     self.roots.push(record);
@@ -258,8 +259,7 @@ mod tests {
 
     #[test]
     fn trees_nest_by_depth_and_keep_attributes() {
-        let mut trees = SpanTrees::default();
-        for e in [
+        let trees = SpanTrees::of(&[
             event(EventKind::SpanOpen, "root", 0, 0, 0),
             attr("seed", "3", 0),
             event(EventKind::SpanOpen, "a", 1, 10, 0),
@@ -273,9 +273,7 @@ mod tests {
             event(EventKind::SpanOpen, "open", 0, 200, 0),
             event(EventKind::SpanOpen, "closed.child", 1, 201, 0),
             event(EventKind::SpanClose, "closed.child", 1, 201, 1),
-        ] {
-            trees.feed(&e);
-        }
+        ]);
         assert_eq!(trees.roots.len(), 1, "a root still open is not reported");
         let root = &trees.roots[0];
         assert_eq!(root.attrs, vec![("seed".to_string(), "3".to_string())]);
@@ -289,17 +287,14 @@ mod tests {
 
     #[test]
     fn a_span_whose_open_was_overwritten_still_closes_into_a_record() {
-        let mut trees = SpanTrees::default();
         // The ring kept only the tail: an attribute and a child of a root
         // whose open event is gone.
-        for e in [
+        let trees = SpanTrees::of(&[
             attr("lost", "1", 0),
             event(EventKind::SpanOpen, "child", 1, 5, 0),
             event(EventKind::SpanClose, "child", 1, 5, 2),
             event(EventKind::SpanClose, "root", 0, 0, 10),
-        ] {
-            trees.feed(&e);
-        }
+        ]);
         let root = &trees.roots[0];
         assert_eq!((root.name.as_str(), root.duration_ns), ("root", 10));
         assert!(root.attrs.is_empty());

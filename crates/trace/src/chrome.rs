@@ -11,8 +11,8 @@
 use serde_json::{json, Map, Value};
 
 use crate::alloc::MemStats;
-use crate::profile::{Profile, ProfileEvent, ThreadProfile};
-use crate::ring::EventKind;
+use crate::profile::Profile;
+use crate::ring::{Event, EventKind, ThreadEvents};
 
 /// Run-level metadata embedded in the trace's `otherData` block.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -46,7 +46,7 @@ pub fn write_chrome_trace(profile: &Profile, meta: &TraceMeta) -> String {
             "args": { "name": thread.name }
         }));
         for e in &thread.events {
-            let mut args = json!({ "flops": e.flops, "bytes": e.bytes });
+            let mut args = json!({ "flops": e.a, "bytes": e.b });
             if e.trace_id != 0 {
                 // 16-hex-digit form: the same string the audit record and
                 // /debug/trace/<id> use, so one grep joins all three.
@@ -54,11 +54,11 @@ pub fn write_chrome_trace(profile: &Profile, meta: &TraceMeta) -> String {
             }
             events.push(json!({
                 "ph": "X",
-                "name": e.name,
+                "name": e.name(),
                 "cat": e.kind.category(),
                 "pid": 1,
                 "tid": thread.tid,
-                "ts": e.start_ns as f64 / 1000.0,
+                "ts": e.t_ns as f64 / 1000.0,
                 "dur": e.dur_ns as f64 / 1000.0,
                 "args": args
             }));
@@ -79,7 +79,8 @@ fn as_u64_ns(obj: &Map<String, Value>, key: &str) -> u64 {
 
 /// Parses a Chrome-trace JSON string back into a [`Profile`] and its
 /// [`TraceMeta`]. Only events written by [`write_chrome_trace`] are
-/// required; unknown events are skipped rather than rejected.
+/// required; unknown events are skipped rather than rejected. Names
+/// longer than [`crate::NAME_CAP`] bytes are truncated, as when recorded.
 ///
 /// # Errors
 ///
@@ -100,14 +101,14 @@ pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), String> {
         .map_err(invalid)?
         .unwrap_or_default();
 
-    let mut threads: std::collections::BTreeMap<u32, ThreadProfile> =
+    let mut threads: std::collections::BTreeMap<u32, ThreadEvents> =
         std::collections::BTreeMap::new();
     for raw in events {
         let Some(obj) = raw.as_object() else { continue };
         let tid = obj.get("tid").and_then(Value::as_u64).unwrap_or(0) as u32;
         let ph = obj.get("ph").and_then(Value::as_str).unwrap_or("");
-        let name = obj.get("name").and_then(Value::as_str).unwrap_or("").to_owned();
-        let thread = threads.entry(tid).or_insert_with(|| ThreadProfile {
+        let name = obj.get("name").and_then(Value::as_str).unwrap_or("");
+        let thread = threads.entry(tid).or_insert_with(|| ThreadEvents {
             tid,
             name: format!("tid-{tid}"),
             dropped: 0,
@@ -125,22 +126,20 @@ pub fn read_chrome_trace(text: &str) -> Result<(Profile, TraceMeta), String> {
                 let kind = if cat == "span" {
                     EventKind::SpanClose
                 } else {
-                    EventKind::from_label(&name).unwrap_or(EventKind::SpanClose)
+                    EventKind::from_label(name).unwrap_or(EventKind::SpanClose)
                 };
                 let args = obj.get("args").and_then(Value::as_object);
-                thread.events.push(ProfileEvent {
-                    kind,
-                    name,
-                    start_ns: as_u64_ns(obj, "ts"),
-                    dur_ns: as_u64_ns(obj, "dur"),
-                    flops: args.and_then(|a| a.get("flops")).and_then(Value::as_u64).unwrap_or(0),
-                    bytes: args.and_then(|a| a.get("bytes")).and_then(Value::as_u64).unwrap_or(0),
-                    trace_id: args
-                        .and_then(|a| a.get("trace"))
-                        .and_then(Value::as_str)
-                        .and_then(crate::parse_trace_id)
-                        .unwrap_or(0),
-                });
+                let arg = |key| args.and_then(|a| a.get(key));
+                let trace = arg("trace").and_then(Value::as_str).and_then(crate::parse_trace_id);
+                thread.events.push(
+                    Event::new(kind, name)
+                        .ids(trace.unwrap_or(0), 0)
+                        .at(as_u64_ns(obj, "ts"), as_u64_ns(obj, "dur"))
+                        .payload(
+                            arg("flops").and_then(Value::as_u64).unwrap_or(0),
+                            arg("bytes").and_then(Value::as_u64).unwrap_or(0),
+                        ),
+                );
             }
             _ => {}
         }
@@ -155,29 +154,16 @@ mod tests {
     #[test]
     fn trace_round_trips() {
         let profile = Profile {
-            threads: vec![ThreadProfile {
+            threads: vec![ThreadEvents {
                 tid: 0,
                 name: "main".into(),
                 dropped: 0,
                 events: vec![
-                    ProfileEvent {
-                        kind: EventKind::SpanClose,
-                        name: "fit".into(),
-                        start_ns: 0,
-                        dur_ns: 5_000,
-                        flops: 0,
-                        bytes: 0,
-                        trace_id: 0,
-                    },
-                    ProfileEvent {
-                        kind: EventKind::Gemm,
-                        name: "gemm".into(),
-                        start_ns: 1_000,
-                        dur_ns: 2_000,
-                        flops: 123_456,
-                        bytes: 789,
-                        trace_id: 0xdead_beef_cafe_f00d,
-                    },
+                    Event::new(EventKind::SpanClose, "fit").at(0, 5_000),
+                    Event::new(EventKind::Gemm, "gemm")
+                        .ids(0xdead_beef_cafe_f00d, 0)
+                        .at(1_000, 2_000)
+                        .payload(123_456, 789),
                 ],
             }],
         };
@@ -205,19 +191,11 @@ mod tests {
     #[test]
     fn trace_contains_thread_metadata_and_categories() {
         let profile = Profile {
-            threads: vec![ThreadProfile {
+            threads: vec![ThreadEvents {
                 tid: 3,
                 name: "noodle-compute-2".into(),
                 dropped: 0,
-                events: vec![ProfileEvent {
-                    kind: EventKind::PoolJob,
-                    name: "pool_job".into(),
-                    start_ns: 10,
-                    dur_ns: 20,
-                    flops: 4,
-                    bytes: 0,
-                    trace_id: 0,
-                }],
+                events: vec![Event::new(EventKind::PoolJob, "pool_job").at(10, 20).payload(4, 0)],
             }],
         };
         let text = write_chrome_trace(&profile, &TraceMeta::default());

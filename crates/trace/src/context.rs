@@ -105,9 +105,13 @@ impl Drop for ContextGuard {
 
 /// Renders a trace (or span) id as 16 lowercase hex digits — the form
 /// audit records, Chrome traces and `/debug/trace/<id>` all use, so a
-/// single grep joins them.
+/// single grep joins them. The "no context" id 0 renders empty.
 pub fn format_trace_id(id: u64) -> String {
-    format!("{id:016x}")
+    if id == 0 {
+        String::new()
+    } else {
+        format!("{id:016x}")
+    }
 }
 
 /// Parses the 16-hex-digit form back to an id. Lenient about length
@@ -169,5 +173,6 @@ mod tests {
         assert_eq!(parse_trace_id(""), None);
         assert_eq!(parse_trace_id("zzzz"), None);
         assert_eq!(parse_trace_id("ff"), Some(0xff));
+        assert_eq!(format_trace_id(0), "", "0 is no context");
     }
 }

@@ -26,8 +26,8 @@ pub fn flight_record(kind: FlightKind, trace_id: u64, span_id: u64, a: u64, b: u
 /// form used in flight bundles and `/debug/trace/<id>`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecordEvent {
-    /// Sequence number within the ring it was written to; numbered per
-    /// ring, so it repeats across `tid`s.
+    /// The event's position among all events its thread recorded (0 =
+    /// the thread's first); `(tid, seq)` identifies an event.
     pub seq: u64,
     /// Thread that recorded the event (threads are numbered in the order
     /// of their first event).
@@ -57,39 +57,28 @@ pub struct FlightRecordEvent {
     pub b: u64,
 }
 
-fn hex_or_empty(id: u64) -> String {
-    if id == 0 {
-        String::new()
-    } else {
-        format_trace_id(id)
-    }
-}
-
 /// Snapshots the newest 4096 flight events across all rings, ordered by
 /// when they were recorded (an interval when it ended). Safe to call
 /// concurrently with writers; the result holds fully written events only.
 pub fn flight_snapshot() -> Vec<FlightRecordEvent> {
-    let mut out: Vec<(u64, FlightRecordEvent)> = rings()
-        .into_iter()
-        .flat_map(|ring| {
-            let tid = ring.tid;
-            ring.events.into_iter().filter(|(_, e)| e.kind.is_flight()).map(move |(seq, e)| {
-                let view = FlightRecordEvent {
-                    seq,
-                    tid,
-                    kind: e.kind,
-                    trace_id: hex_or_empty(e.trace_id),
-                    span_id: hex_or_empty(e.span_id),
-                    t_ns: e.t_ns,
-                    dur_ns: e.dur_ns,
-                    name: e.name().to_owned(),
-                    a: e.a,
-                    b: e.b,
-                };
-                (e.end_ns(), view)
-            })
-        })
-        .collect();
+    let mut out: Vec<(u64, FlightRecordEvent)> = Vec::new();
+    for thread in rings() {
+        for (seq, e) in (thread.dropped..).zip(&thread.events).filter(|(_, e)| e.kind.is_flight()) {
+            let view = FlightRecordEvent {
+                seq,
+                tid: thread.tid,
+                kind: e.kind,
+                trace_id: format_trace_id(e.trace_id),
+                span_id: format_trace_id(e.span_id),
+                t_ns: e.t_ns,
+                dur_ns: e.dur_ns,
+                name: e.name().to_owned(),
+                a: e.a,
+                b: e.b,
+            };
+            out.push((e.end_ns(), view));
+        }
+    }
     out.sort_by_key(|(end, e)| (*end, e.tid, e.seq));
     let older = out.len().saturating_sub(FLIGHT_CAPACITY);
     out.into_iter().skip(older).map(|(_, e)| e).collect()
@@ -120,6 +109,20 @@ mod tests {
         assert_eq!(mine[0].a, 7);
         assert_eq!(mine[1].kind, FlightKind::MonitorTransition);
         assert_eq!(mine[1].b, 2);
+    }
+
+    #[test]
+    fn seq_numbers_each_threads_events_from_its_first() {
+        let ctx = crate::TraceContext::mint();
+        std::thread::spawn(move || {
+            for i in 0..3 {
+                flight_record(FlightKind::Request, ctx.trace_id, 0, i, 0, "seq");
+            }
+        })
+        .join()
+        .unwrap();
+        let seqs: Vec<u64> = mine(ctx).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub use context::{
     current, format_trace_id, parse_trace_id, set_current, swap_current, ContextGuard, TraceContext,
 };
 pub use flight::{flight_record, flight_snapshot, FlightKind, FlightRecordEvent};
-pub use profile::{drain, KernelTimer, Profile, ProfileEvent, ThreadProfile};
+pub use profile::{drain, KernelTimer, Profile};
 pub use ring::{
     close_span, open_span, push, ring_capacity, rings, span_attr, thread_events_since, Event,
-    EventKind, OpenSpan, RingSnapshot, NAME_CAP,
+    EventKind, OpenSpan, ThreadEvents, NAME_CAP,
 };
 pub use summary::{
     render_summary, summarize, KernelSummary, ProfileSummary, SpanSelfTime, ThreadSummary,

@@ -1,134 +1,72 @@
 //! Kernel timing, and the profile view drained from the rings.
 //!
 //! Kernels record through [`KernelTimer`], which costs one relaxed load
-//! while profiling is off. [`drain`] turns every ring's interval events
-//! (closed spans, requests, pool jobs, kernels) into a [`Profile`] for
-//! the Chrome-trace writer and the summary.
+//! while profiling is off. [`drain`] keeps every ring's interval events
+//! (closed spans, requests, pool jobs, kernels) as a [`Profile`] for the
+//! Chrome-trace writer and the summary.
 
-use serde::{Deserialize, Serialize};
-
-use crate::ring::{rings, Event, EventKind};
+use crate::ring::{rings, Event, EventKind, ThreadEvents};
 use crate::{enabled, now_ns};
 
-/// RAII kernel timer: captures the start timestamp on construction and
-/// records a kernel event, stamped with the ambient trace id, on drop. Disarmed (zero work beyond one relaxed
-/// load) when profiling is disabled; never allocates in either state
-/// once the thread's ring exists.
+/// RAII kernel timer: holds the kernel's event from construction and
+/// records it, timed and stamped with the ambient trace id, on drop.
+/// Disarmed (zero work beyond one relaxed load) when profiling is
+/// disabled; never allocates in either state once the thread's ring
+/// exists.
 #[must_use = "a kernel timer measures the scope that holds it"]
-pub struct KernelTimer {
-    kind: EventKind,
-    flops: u64,
-    bytes: u64,
-    start_ns: u64,
-    armed: bool,
-}
+pub struct KernelTimer(Option<Event>);
 
 impl KernelTimer {
     /// Starts timing a kernel with the given FLOP and byte payloads.
     #[inline]
     pub fn start(kind: EventKind, flops: u64, bytes: u64) -> Self {
-        let armed = enabled();
-        Self { kind, flops, bytes, start_ns: if armed { now_ns() } else { 0 }, armed }
+        Self(enabled().then(|| Event::new(kind, "").at(now_ns(), 0).payload(flops, bytes)))
     }
 }
 
 impl Drop for KernelTimer {
     #[inline]
     fn drop(&mut self) {
-        if self.armed {
-            let dur = now_ns().saturating_sub(self.start_ns);
+        if let Some(event) = self.0 {
             let trace = crate::current().map_or(0, |c| c.trace_id);
-            let event = Event::new(self.kind, "").ids(trace, 0).at(self.start_ns, dur);
-            crate::push(&event.payload(self.flops, self.bytes));
+            crate::push(&event.ids(trace, 0).at(event.t_ns, now_ns().saturating_sub(event.t_ns)));
         }
     }
 }
 
-/// One interval of a drained profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfileEvent {
-    /// What was measured: `SpanClose` for spans (request markers
-    /// included), otherwise a pool or kernel kind.
-    pub kind: EventKind,
-    /// Display name: the span name for spans, the kind label otherwise.
-    pub name: String,
-    /// Start offset from the epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Wall-clock duration, nanoseconds.
-    pub dur_ns: u64,
-    /// Floating-point operations attributed to the event (kernels), or
-    /// chunks executed (pool jobs).
-    pub flops: u64,
-    /// Bytes touched by the event, when known.
-    pub bytes: u64,
-    /// Trace id of the request this event belongs to (0 = none); joins
-    /// the event to its audit record and telemetry spans.
-    #[serde(default)]
-    pub trace_id: u64,
-}
-
-/// All intervals recorded by one thread, oldest first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThreadProfile {
-    /// Thread index (0 = first recording thread).
-    pub tid: u32,
-    /// Thread name.
-    pub name: String,
-    /// This thread's events its ring overwrote because it wrapped.
-    pub dropped: u64,
-    /// Completed intervals, oldest first.
-    pub events: Vec<ProfileEvent>,
-}
-
 /// A drained run profile: one timeline per recording thread.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
-    /// Per-thread timelines, ordered by `tid`.
-    pub threads: Vec<ThreadProfile>,
+    /// Per-thread timelines, ordered by `tid`. Their events are the
+    /// completed intervals: `SpanClose` for spans (request markers
+    /// included, named `detect.request`), otherwise a pool or kernel kind.
+    /// `a` holds a kernel's FLOPs or a pool job's chunks, `b` the bytes a
+    /// kernel touched; both are 0 for spans.
+    pub threads: Vec<ThreadEvents>,
 }
 
 impl Profile {
-    /// Total events across all threads.
-    pub fn total_events(&self) -> u64 {
-        self.threads.iter().map(|t| t.events.len() as u64).sum()
-    }
-
-    /// Total dropped events across all threads.
-    pub fn total_dropped(&self) -> u64 {
-        self.threads.iter().map(|t| t.dropped).sum()
-    }
-
     /// The largest event end offset, i.e. the observed wall clock of the
     /// profiled run in nanoseconds since the epoch.
     pub fn wall_ns(&self) -> u64 {
-        self.threads
-            .iter()
-            .flat_map(|t| t.events.iter())
-            .map(|e| e.start_ns + e.dur_ns)
-            .max()
-            .unwrap_or(0)
+        self.threads.iter().flat_map(|t| t.events.iter()).map(Event::end_ns).max().unwrap_or(0)
     }
 }
 
 /// The profile view of one ring event, if it is an interval.
-fn interval(e: &Event) -> Option<ProfileEvent> {
-    let (kind, name, flops, bytes) = match e.kind {
-        EventKind::SpanClose => (EventKind::SpanClose, e.name().to_owned(), 0, 0),
+fn interval(e: &Event) -> Option<Event> {
+    match e.kind {
+        // A closed span's `a` holds its duration for the flight view.
+        EventKind::SpanClose => Some(e.payload(0, 0)),
         // A request's share of its micro-batch, on the timeline as a span.
-        EventKind::Request => (EventKind::SpanClose, "detect.request".to_owned(), 0, 0),
-        EventKind::QueueWait | EventKind::PoolJob => (e.kind, e.kind.label().to_owned(), e.a, e.b),
-        k if k.is_kernel() => (k, k.label().to_owned(), e.a, e.b),
-        _ => return None,
-    };
-    Some(ProfileEvent {
-        kind,
-        name,
-        start_ns: e.t_ns,
-        dur_ns: e.dur_ns,
-        flops,
-        bytes,
-        trace_id: e.trace_id,
-    })
+        EventKind::Request => Some(
+            Event::new(EventKind::SpanClose, "detect.request")
+                .ids(e.trace_id, 0)
+                .at(e.t_ns, e.dur_ns),
+        ),
+        k if k == EventKind::QueueWait || k == EventKind::PoolJob || k.is_kernel() => Some(*e),
+        _ => None,
+    }
 }
 
 /// Reads every thread's ring into a [`Profile`].
@@ -138,15 +76,10 @@ fn interval(e: &Event) -> Option<ProfileEvent> {
 /// Rings are left in place, so a second drain returns the same events
 /// plus any recorded since (minus any overwritten).
 pub fn drain() -> Profile {
-    let mut threads: Vec<ThreadProfile> = rings()
-        .into_iter()
-        .map(|ring| ThreadProfile {
-            tid: ring.tid,
-            name: ring.thread,
-            dropped: ring.dropped,
-            events: ring.events.iter().filter_map(|(_, e)| interval(e)).collect(),
-        })
-        .collect();
+    let mut threads = rings();
+    for thread in &mut threads {
+        thread.events = thread.events.iter().filter_map(interval).collect();
+    }
     threads.sort_by_key(|t| t.tid);
     Profile { threads }
 }
@@ -162,7 +95,7 @@ mod tests {
     /// concurrently; the toggling tests serialize on this.
     static SERIAL: Mutex<()> = Mutex::new(());
 
-    fn all_events() -> Vec<ProfileEvent> {
+    fn all_events() -> Vec<Event> {
         drain().threads.into_iter().flat_map(|t| t.events).collect()
     }
 
@@ -171,7 +104,7 @@ mod tests {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let t = KernelTimer::start(EventKind::Gemm, 1, 2);
-        assert!(!t.armed);
+        assert!(t.0.is_none());
     }
 
     #[test]
@@ -183,9 +116,7 @@ mod tests {
         }
         set_enabled(false);
         let events = all_events();
-        assert!(events
-            .iter()
-            .any(|e| e.kind == EventKind::GemmBt && e.flops == 77 && e.bytes == 11));
+        assert!(events.iter().any(|e| e.kind == EventKind::GemmBt && e.a == 77 && e.b == 11));
     }
 
     #[test]
@@ -203,15 +134,17 @@ mod tests {
             );
         }
         let events = all_events();
-        assert!(events.iter().any(|e| e.kind == EventKind::SpanClose
-            && e.name == "profiled.span"
-            && e.trace_id == ctx.trace_id));
+        let span = events
+            .iter()
+            .find(|e| e.name() == "profiled.span" && e.trace_id == ctx.trace_id)
+            .expect("closed span");
+        assert_eq!((span.kind, span.a), (EventKind::SpanClose, 0), "no payload on spans");
         let request = events
             .iter()
-            .find(|e| e.name == "detect.request" && e.trace_id == ctx.trace_id)
+            .find(|e| e.name() == "detect.request" && e.trace_id == ctx.trace_id)
             .expect("request marker");
-        assert_eq!((request.kind, request.start_ns, request.dur_ns), (EventKind::SpanClose, 3, 4));
-        assert_eq!((request.flops, request.bytes), (0, 0));
+        assert_eq!((request.kind, request.t_ns, request.dur_ns), (EventKind::SpanClose, 3, 4));
+        assert_eq!((request.a, request.b), (0, 0));
     }
 
     #[test]
@@ -228,9 +161,7 @@ mod tests {
         let events = all_events();
         assert!(events
             .iter()
-            .any(|e| e.kind == EventKind::Im2col && e.flops == 3 && e.trace_id == ctx.trace_id));
-        assert!(events
-            .iter()
-            .any(|e| e.kind == EventKind::Im2col && e.flops == 7 && e.trace_id == 0));
+            .any(|e| e.kind == EventKind::Im2col && e.a == 3 && e.trace_id == ctx.trace_id));
+        assert!(events.iter().any(|e| e.kind == EventKind::Im2col && e.a == 7 && e.trace_id == 0));
     }
 }

@@ -5,9 +5,10 @@
 //! `n % capacity` under a per-slot seqlock (`2n+1` while writing, `2n+2`
 //! when done), then the ring's head is bumped. A reader walks the newest
 //! `capacity` sequence numbers and keeps a slot's copy only if its
-//! sequence read `2n+2` before and after the copy, so a slot being
-//! overwritten is skipped, never surfaced. The ring keeps the newest
-//! events; the ones it overwrote count as `dropped`.
+//! sequence read `2n+2` before and after the copy; a slot being
+//! overwritten is never surfaced, and the older events read before it
+//! are dropped too, so every read is one unbroken run. The ring keeps
+//! the newest events; the ones it overwrote count as `dropped`.
 //!
 //! Rings are allocated zeroed on a thread's first event, so the pages of
 //! a large profile ring are committed only as they are written. When a
@@ -157,7 +158,7 @@ impl EventKind {
 /// One recorded moment: fixed size, `Copy`, name inline. All-zero bytes
 /// are a valid (empty `SpanOpen`) event, which is what lets rings be
 /// allocated zeroed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
     /// What the event records.
     pub kind: EventKind,
@@ -248,10 +249,14 @@ impl Event {
         self
     }
 
-    /// The inline name.
+    /// The inline name, or the kind's label when it was given none (pool
+    /// and kernel events).
     pub fn name(&self) -> &str {
-        // Always valid: `Inline` only ever cuts at character boundaries.
-        std::str::from_utf8(&self.name[..usize::from(self.name_len)]).unwrap_or("")
+        match self.name_len {
+            0 => self.kind.label(),
+            // Always valid: `Inline` only ever cuts at character boundaries.
+            len => std::str::from_utf8(&self.name[..usize::from(len)]).unwrap_or(""),
+        }
     }
 
     /// A `SpanAttr` event's key and value.
@@ -346,29 +351,29 @@ impl Ring {
     }
 
     /// Copies the retained events with sequence number `>= from`, oldest
-    /// first, as `(seq, event)` pairs; also returns how many were
-    /// overwritten before the copy.
-    fn read(&self, from: u64) -> (u64, Vec<(u64, Event)>) {
+    /// first, with the sequence number of the first. The copy is one
+    /// unbroken run: an event overwritten while it was being read is
+    /// dropped together with every older one.
+    fn read(&self, from: u64) -> (u64, Vec<Event>) {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
-        let dropped = head.saturating_sub(cap);
-        let start = dropped.max(from);
-        let mut out = Vec::with_capacity(head.saturating_sub(start) as usize);
+        let start = head.saturating_sub(cap).max(from);
+        let (mut first, mut out) = (start, Vec::with_capacity(head.saturating_sub(start) as usize));
         for n in start..head {
             let slot = &self.slots[(n % cap) as usize];
             let before = slot.seq.load(Ordering::Acquire);
-            if before != 2 * n + 2 {
-                continue;
-            }
             // SAFETY: a racing overwrite can tear this copy; the sequence
             // re-check below discards it if so.
             let event = unsafe { std::ptr::read_volatile(slot.event.get()) };
             fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == before {
-                out.push((n, event));
+            if before == 2 * n + 2 && slot.seq.load(Ordering::Relaxed) == before {
+                out.push(event);
+            } else {
+                out.clear();
+                first = n + 1;
             }
         }
-        (dropped, out)
+        (first, out)
     }
 }
 
@@ -449,50 +454,43 @@ pub fn push(event: &Event) -> u64 {
 /// The calling thread's retained events with sequence number `>= seq`,
 /// oldest first.
 pub fn thread_events_since(seq: u64) -> Vec<Event> {
-    LOCAL
-        .try_with(|l| l.ring.get().map(|h| h.0.read(seq).1))
-        .ok()
-        .flatten()
-        .map_or_else(Vec::new, |events| events.into_iter().map(|(_, e)| e).collect())
+    LOCAL.try_with(|l| l.ring.get().map(|h| h.0.read(seq).1)).ok().flatten().unwrap_or_default()
 }
 
-/// One recording thread's events as read from its ring.
-#[derive(Clone, Debug)]
-pub struct RingSnapshot {
+/// One recording thread's retained events, as read from its ring.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadEvents {
     /// Thread index, in order of each thread's first event (0 = the
     /// first recording thread).
     pub tid: u32,
     /// Thread name.
-    pub thread: String,
-    /// This thread's events its ring overwrote.
+    pub name: String,
+    /// This thread's events its ring overwrote. The retained events
+    /// follow them, so `dropped + i` numbers the `i`-th retained event
+    /// among all the thread's events.
     pub dropped: u64,
-    /// Retained events as `(sequence number in the ring, event)`, oldest
-    /// first.
-    pub events: Vec<(u64, Event)>,
+    /// Retained events, oldest first.
+    pub events: Vec<Event>,
 }
 
-/// Reads every ring, one snapshot per thread whose events a ring still
-/// holds. Safe to call while their threads write: each result is a set
-/// of fully written events.
-pub fn rings() -> Vec<RingSnapshot> {
+/// Reads every ring, one [`ThreadEvents`] per thread whose events a ring
+/// still holds. Safe to call while their threads write: each result is a
+/// run of fully written events.
+pub fn rings() -> Vec<ThreadEvents> {
     let rings = registry().rings.clone();
     let mut out = Vec::new();
     for ring in &rings {
         // Events first: every thread that wrote one of them is then
         // already listed among the writers.
-        let (dropped, mut events) = ring.read(0);
+        let (first, mut events) = ring.read(0);
         let mut end = u64::MAX;
         for writer in ring.writers().clone().into_iter().rev() {
-            let mine = events.split_off(events.partition_point(|(n, _)| *n < writer.from));
-            let dropped = dropped.min(end).saturating_sub(writer.from);
+            let own = writer.from.saturating_sub(first).min(events.len() as u64);
+            let events = events.split_off(own as usize);
+            let dropped = first.min(end).saturating_sub(writer.from);
             end = writer.from;
-            if !mine.is_empty() || dropped > 0 {
-                out.push(RingSnapshot {
-                    tid: writer.tid,
-                    thread: writer.name,
-                    dropped,
-                    events: mine,
-                });
+            if !events.is_empty() || dropped > 0 {
+                out.push(ThreadEvents { tid: writer.tid, name: writer.name, dropped, events });
             }
         }
     }
@@ -568,11 +566,24 @@ mod tests {
         for i in 0..7 {
             ring.push(&Event::new(EventKind::Gemm, "").payload(i, 0));
         }
-        let (dropped, events) = ring.read(0);
-        assert_eq!(dropped, 3);
-        let kept: Vec<(u64, u64)> = events.iter().map(|(n, e)| (*n, e.a)).collect();
-        assert_eq!(kept, vec![(3, 3), (4, 4), (5, 5), (6, 6)]);
+        let (first, events) = ring.read(0);
+        assert_eq!(first, 3);
+        let kept: Vec<u64> = events.iter().map(|e| e.a).collect();
+        assert_eq!(kept, vec![3, 4, 5, 6]);
         assert_eq!(ring.read(5).1.len(), 2);
+    }
+
+    #[test]
+    fn a_read_keeps_one_unbroken_run_after_a_slot_being_written() {
+        let ring = Ring::new(4, writer(0, 0));
+        for i in 0..3 {
+            ring.push(&Event::new(EventKind::Gemm, "").payload(i, 0));
+        }
+        // Slot 1 as its writer leaves it mid-write: odd sequence.
+        ring.slots[1].seq.store(3, Ordering::Relaxed);
+        let (first, events) = ring.read(0);
+        assert_eq!(first, 2);
+        assert_eq!(events.iter().map(|e| e.a).collect::<Vec<_>>(), [2]);
     }
 
     #[test]
@@ -640,8 +651,8 @@ mod tests {
         for name in ["ring.test.first", "ring.test.second"] {
             let owner: Vec<String> = rings()
                 .into_iter()
-                .filter(|r| r.events.iter().any(|(_, e)| e.name() == name))
-                .map(|r| r.thread)
+                .filter(|r| r.events.iter().any(|e| e.name() == name))
+                .map(|r| r.name)
                 .collect();
             assert_eq!(owner, [name]);
         }

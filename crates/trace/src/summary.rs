@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::MemStats;
-use crate::profile::{Profile, ProfileEvent};
-use crate::ring::EventKind;
+use crate::profile::Profile;
+use crate::ring::{Event, EventKind};
 
 /// How many spans `top_spans` keeps.
 const TOP_SPANS: usize = 10;
@@ -37,7 +37,7 @@ pub struct ThreadSummary {
 }
 
 /// One span aggregated across all its occurrences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanSelfTime {
     /// Span name.
     pub name: String,
@@ -51,7 +51,7 @@ pub struct SpanSelfTime {
 }
 
 /// One kernel kind aggregated across all calls.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelSummary {
     /// Kernel label (e.g. `gemm`, `im2col`, `conv_fwd`).
     pub name: String,
@@ -103,42 +103,28 @@ pub const SUMMARY_SCHEMA_VERSION: u32 = 1;
 /// kernels nested inside pool jobs).
 fn interval_coverage(mut spans: Vec<(u64, u64)>) -> u64 {
     spans.sort_unstable();
-    let mut covered = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
+    // `reach`: the furthest end seen so far; only time past it is new.
+    let (mut covered, mut reach) = (0, 0);
     for (start, end) in spans {
-        match cur {
-            Some((s, e)) if start <= e => cur = Some((s, e.max(end))),
-            Some((s, e)) => {
-                covered += e - s;
-                cur = Some((start, end));
-            }
-            None => cur = Some((start, end)),
-        }
-    }
-    if let Some((s, e)) = cur {
-        covered += e - s;
+        covered += end.saturating_sub(start.max(reach));
+        reach = reach.max(end);
     }
     covered
 }
 
 /// Computes span self-time for one thread's events: each span's duration
 /// minus the durations of spans directly nested inside it.
-fn span_self_times(events: &[ProfileEvent], acc: &mut BTreeMap<String, SpanSelfTime>) {
-    let mut spans: Vec<&ProfileEvent> =
-        events.iter().filter(|e| e.kind == EventKind::SpanClose).collect();
+fn span_self_times(events: &[Event], acc: &mut BTreeMap<String, SpanSelfTime>) {
+    let mut spans: Vec<&Event> = events.iter().filter(|e| e.kind == EventKind::SpanClose).collect();
     // Parents sort before children: earlier start first, longer first on ties.
-    spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.dur_ns.cmp(&a.dur_ns)));
-    // stack of (end_ns, index into `order`) for open ancestors
+    spans.sort_by(|a, b| a.t_ns.cmp(&b.t_ns).then(b.dur_ns.cmp(&a.dur_ns)));
+    // stack of (end_ns, index into `spans`) for open ancestors
     let mut self_ns: Vec<u64> = spans.iter().map(|s| s.dur_ns).collect();
     let mut stack: Vec<(u64, usize)> = Vec::new();
     for (i, span) in spans.iter().enumerate() {
-        let end = span.start_ns + span.dur_ns;
-        while let Some(&(parent_end, _)) = stack.last() {
-            if span.start_ns >= parent_end {
-                stack.pop();
-            } else {
-                break;
-            }
+        let end = span.end_ns();
+        while stack.last().is_some_and(|&(parent_end, _)| span.t_ns >= parent_end) {
+            stack.pop();
         }
         if let Some(&(parent_end, parent_idx)) = stack.last() {
             if end <= parent_end {
@@ -148,12 +134,9 @@ fn span_self_times(events: &[ProfileEvent], acc: &mut BTreeMap<String, SpanSelfT
         stack.push((end, i));
     }
     for (span, self_t) in spans.iter().zip(self_ns) {
-        let entry = acc.entry(span.name.clone()).or_insert_with(|| SpanSelfTime {
-            name: span.name.clone(),
-            count: 0,
-            self_ns: 0,
-            total_ns: 0,
-        });
+        let entry = acc
+            .entry(span.name().to_owned())
+            .or_insert_with(|| SpanSelfTime { name: span.name().to_owned(), ..Default::default() });
         entry.count += 1;
         entry.self_ns += self_t;
         entry.total_ns += span.dur_ns;
@@ -176,7 +159,7 @@ pub fn summarize(profile: &Profile, peak_gflops: f64, mem: Option<MemStats>) -> 
             .events
             .iter()
             .filter(|e| e.kind == EventKind::PoolJob || e.kind.is_kernel())
-            .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
+            .map(|e| (e.t_ns, e.end_ns()))
             .collect();
         let busy_ns = interval_coverage(busy);
         let queue_wait_ns: u64 =
@@ -199,19 +182,14 @@ pub fn summarize(profile: &Profile, peak_gflops: f64, mem: Option<MemStats>) -> 
         span_self_times(&thread.events, &mut span_acc);
 
         for e in thread.events.iter().filter(|e| e.kind.is_kernel()) {
-            let entry = kernel_acc.entry(e.name.clone()).or_insert_with(|| KernelSummary {
-                name: e.name.clone(),
-                calls: 0,
-                total_ns: 0,
-                flops: 0,
-                gflops: 0.0,
-                bytes: 0,
-                peak_frac: 0.0,
+            let entry = kernel_acc.entry(e.name().to_owned()).or_insert_with(|| KernelSummary {
+                name: e.name().to_owned(),
+                ..Default::default()
             });
             entry.calls += 1;
             entry.total_ns += e.dur_ns;
-            entry.flops += e.flops;
-            entry.bytes += e.bytes;
+            entry.flops += e.a;
+            entry.bytes += e.b;
         }
     }
 
@@ -234,8 +212,8 @@ pub fn summarize(profile: &Profile, peak_gflops: f64, mem: Option<MemStats>) -> 
         schema_version: SUMMARY_SCHEMA_VERSION,
         wall_ns,
         peak_gflops,
-        total_events: profile.total_events(),
-        dropped_events: profile.total_dropped(),
+        total_events: threads.iter().map(|t| t.events).sum(),
+        dropped_events: threads.iter().map(|t| t.dropped).sum(),
         threads,
         top_spans,
         kernels,
@@ -326,18 +304,10 @@ pub fn render_summary(summary: &ProfileSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::ThreadProfile;
+    use crate::ring::ThreadEvents;
 
-    fn ev(kind: EventKind, name: &str, start: u64, dur: u64, flops: u64) -> ProfileEvent {
-        ProfileEvent {
-            kind,
-            name: name.into(),
-            start_ns: start,
-            dur_ns: dur,
-            flops,
-            bytes: 0,
-            trace_id: 0,
-        }
+    fn ev(kind: EventKind, name: &str, start: u64, dur: u64, flops: u64) -> Event {
+        Event::new(kind, name).at(start, dur).payload(flops, 0)
     }
 
     #[test]
@@ -366,7 +336,7 @@ mod tests {
     fn summarize_rolls_up_threads_and_kernels() {
         let profile = Profile {
             threads: vec![
-                ThreadProfile {
+                ThreadEvents {
                     tid: 0,
                     name: "main".into(),
                     dropped: 0,
@@ -375,7 +345,7 @@ mod tests {
                         ev(EventKind::Gemm, "gemm", 100, 200, 400_000),
                     ],
                 },
-                ThreadProfile {
+                ThreadEvents {
                     tid: 1,
                     name: "noodle-compute-0".into(),
                     dropped: 2,

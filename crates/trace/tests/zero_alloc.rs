@@ -136,8 +136,8 @@ fn exited_threads_hand_their_rings_on() {
     assert!(bytes < ring_bytes, "ten short threads allocated {bytes} bytes: rings not reused");
     let threads: Vec<String> = noodle_trace::rings()
         .into_iter()
-        .filter(|r| r.events.iter().any(|(_, e)| e.name() == "handover"))
-        .map(|r| r.thread)
+        .filter(|r| r.events.iter().any(|e| e.name() == "handover"))
+        .map(|r| r.name)
         .collect();
     assert_eq!(threads.len(), 11, "{threads:?}");
     assert_eq!(threads.iter().filter(|t| *t == "first.thread").count(), 1, "{threads:?}");

@@ -508,23 +508,11 @@ impl Observability {
         let prof = trace::drain();
         let peak = noodle::compute::gemm_peak_gflops();
         let mem = self.profile_mem.then(trace::mem_stats);
-        // Fold per-kernel wall times into telemetry histograms so the run
+        // Record per-kernel wall times into telemetry histograms so the run
         // report's metrics section and the trace agree.
-        let bounds = telemetry::Histogram::default_bounds();
-        let mut by_kernel: std::collections::BTreeMap<&str, telemetry::Histogram> =
-            std::collections::BTreeMap::new();
-        for thread in &prof.threads {
-            for event in &thread.events {
-                if event.kind.is_kernel() {
-                    by_kernel
-                        .entry(event.kind.label())
-                        .or_insert_with(|| telemetry::Histogram::new(&bounds))
-                        .record(event.dur_ns as f64 / 1e3);
-                }
-            }
-        }
-        for (name, hist) in &by_kernel {
-            telemetry::merge_histogram(&format!("profile.kernel.{name}_us"), hist);
+        for event in prof.threads.iter().flat_map(|t| &t.events).filter(|e| e.kind.is_kernel()) {
+            let name = format!("profile.kernel.{}_us", event.kind.label());
+            telemetry::histogram_record(&name, event.dur_ns as f64 / 1e3);
         }
         let summary = trace::summarize(&prof, peak, mem);
         let meta = trace::TraceMeta {
